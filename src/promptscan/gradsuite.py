@@ -79,7 +79,6 @@ from .tensor import (
     softmax,
     softplus,
     sqrt,
-    swap_last,
     take_tokens,
 )
 
@@ -329,7 +328,7 @@ def _mk_gather_index(rng, _i):
     def forward():
         gathered = take_tokens(x, perm)
         sliced = x[:, 1:5, :2]
-        stacked = concat([x, gathered, swap_last(x).transpose((0, 2, 1))], axis=0)
+        stacked = concat([x, gathered, x.transpose((0, 2, 1)).transpose((0, 2, 1))], axis=0)
         return (
             _wsum(gathered, w1)
             + _wsum(sliced, w2)

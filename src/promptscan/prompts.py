@@ -23,9 +23,11 @@ from .tensor import (
     matmul,
     reshape,
     softmax,
-    swap_last,
     transpose,
 )
+
+# score elements per attention row block: 2**18 float64 values, 2 MiB
+_ATTN_BLOCK_ELEMS = 1 << 18
 
 
 @dataclass
@@ -120,6 +122,67 @@ def gather_spatial_prompt(route: Tensor, pool: PromptPool) -> Tensor:
     return matmul(route, pool.pool)
 
 
+def attention(q, k, v, scale: float) -> Tensor:
+    """softmax(q @ k^T * scale) @ v as one node, in query-row blocks.
+
+    Each block of query rows sees every key, so each row's softmax is
+    whole and no rescaling across blocks is needed; only one block of
+    scores exists at a time, so memory is linear in the token count.
+    Forward keeps the per-row log-sum-exp, and backward recomputes each
+    block's probabilities from it (Rabe & Staats 2021; Dao et al. 2022).
+    """
+    q, k, v = astensor(q), astensor(k), astensor(v)
+    if not (
+        q.ndim == k.ndim == v.ndim == 3
+        and q.shape[0] == k.shape[0] == v.shape[0]
+        and q.shape[2] == k.shape[2]
+        and k.shape[1] == v.shape[1]
+    ):
+        raise DimensionError(
+            f"attention operands do not fit: q {tuple(q.shape)}, "
+            f"k {tuple(k.shape)}, v {tuple(v.shape)}"
+        )
+    rows = max(1, _ATTN_BLOCK_ELEMS // k.shape[1])
+    blocks = [slice(lo, lo + rows) for lo in range(0, q.shape[1], rows)]
+    kt = k.data.swapaxes(-1, -2)
+
+    def probs(blk, lse=None):
+        """Block of scores turned into exp(s - shift) in place."""
+        s = q.data[:, blk] @ kt
+        s *= scale
+        shift = s.max(axis=-1, keepdims=True) if lse is None else lse[:, blk]
+        s -= shift
+        np.exp(s, out=s)
+        return s, shift
+
+    out = np.empty(q.shape[:2] + v.shape[2:])
+    lse = np.empty(q.shape[:2] + (1,))
+    for blk in blocks:
+        e, shift = probs(blk)
+        total = e.sum(axis=-1, keepdims=True)
+        out[:, blk] = (e @ v.data) / total
+        lse[:, blk] = shift + np.log(total)
+
+    def vjp(g):
+        delta = (g * out).sum(axis=-1, keepdims=True)
+        gq = np.empty_like(q.data)
+        gk = np.zeros_like(k.data)
+        gv = np.zeros_like(v.data)
+        vt = v.data.swapaxes(-1, -2)
+        for blk in blocks:
+            p, _ = probs(blk, lse)
+            gv += p.swapaxes(-1, -2) @ g[:, blk]
+            ds = g[:, blk] @ vt
+            ds -= delta[:, blk]
+            ds *= p
+            ds *= scale
+            gq[:, blk] = ds @ k.data
+            gk += ds.swapaxes(-1, -2) @ q.data[:, blk]
+        return gq, gk, gv
+
+    return Tensor._from_op(out, (q, k, v), vjp)
+
+
 def global_prompt(
     x: Tensor,
     h: int,
@@ -165,9 +228,7 @@ def global_prompt(
     q = matmul(feats, params.wq)
     k = matmul(feats, params.wk)
     v = matmul(feats, params.wv)
-    scores = matmul(q, swap_last(k)) * (1.0 / np.sqrt(c))
-    attn = softmax(scores, axis=-1)
-    return matmul(attn, v)
+    return attention(q, k, v, 1.0 / np.sqrt(c))
 
 
 def fuse_prompts(p_spatial: Tensor, p_global: Tensor) -> Tensor:

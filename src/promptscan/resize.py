@@ -17,6 +17,8 @@ exactly everywhere including corners.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
@@ -46,10 +48,15 @@ def linear_kernel(t: np.ndarray) -> np.ndarray:
 _KERNELS = {"cubic": (cubic_kernel, 2.0), "linear": (linear_kernel, 1.0)}
 
 
+@functools.lru_cache(maxsize=64)
 def resample_matrix(
     n_in: int, n_out: int, kind: str = "cubic", antialias: bool = True
 ) -> np.ndarray:
-    """Dense (n_out, n_in) weight matrix for one axis."""
+    """Dense (n_out, n_in) weight matrix for one axis.
+
+    Matrices are cached per argument set and returned read-only, so
+    every caller shares one copy.
+    """
     if kind not in _KERNELS:
         raise ConfigError(f"unknown resampling kernel {kind!r}")
     if n_in < 1 or n_out < 1:
@@ -69,6 +76,7 @@ def resample_matrix(
             raise ContractError(f"empty kernel footprint at output index {i}")
         w = w / total
         np.add.at(m[i], np.clip(taps, 0, n_in - 1), w)
+    m.flags.writeable = False
     return m
 
 

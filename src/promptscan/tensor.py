@@ -419,13 +419,6 @@ def transpose(a, axes) -> Tensor:
     )
 
 
-def swap_last(a) -> Tensor:
-    """Transpose the trailing two axes (matrix transpose for stacks)."""
-    a = astensor(a)
-    axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
-    return transpose(a, axes)
-
-
 def concat(tensors, axis: int) -> Tensor:
     tensors = [astensor(t) for t in tensors]
     axis = axis % tensors[0].ndim

@@ -1,17 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from promptscan import prompts
 from promptscan.errors import ConfigError, ContractError, DimensionError
 from promptscan.prompts import (
     GlobalPromptParams,
     PromptPool,
+    attention,
     fuse_prompts,
     gather_spatial_prompt,
     global_prompt,
     gumbel_noise,
     route_tokens,
 )
-from promptscan.tensor import Tensor
+from promptscan.tensor import Tensor, matmul, softmax, transpose
 
 
 def make_pool(t=4, c=3, seed=0, temperature=1.0):
@@ -138,6 +142,71 @@ def test_global_prompt_magnitude_features():
     )
     out = global_prompt(x, 3, 3, params, features="magnitude")
     assert out.shape == (1, 9, c)
+
+
+@pytest.mark.parametrize("rows", [5, 1, 64], ids=["ragged", "single-row", "one-block"])
+def test_attention_matches_composite_chain(monkeypatch, rows):
+    """The blocked node against matmul/softmax/matmul through the engine."""
+    bsz, n, d = 2, 37, 3
+    monkeypatch.setattr(prompts, "_ATTN_BLOCK_ELEMS", rows * n)
+    rng = np.random.default_rng(6)
+    qkv = [rng.standard_normal((bsz, n, d)) for _ in range(3)]
+    w = Tensor(rng.standard_normal((bsz, n, d)))
+    scale = 1.0 / np.sqrt(d)
+
+    def run(f):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in qkv]
+        out = f(*leaves)
+        (out * w).sum().backward()
+        return [out.data] + [t.grad for t in leaves]
+
+    blocked = run(lambda q, k, v: attention(q, k, v, scale))
+    chain = run(
+        lambda q, k, v: matmul(softmax(matmul(q, transpose(k, (0, 2, 1))) * scale), v)
+    )
+    for got, want in zip(blocked, chain):
+        # relative to the array's scale: single entries can cancel to ~0
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_attention_rejects_mismatched_operands():
+    q = Tensor(np.zeros((1, 4, 3)))
+    with pytest.raises(DimensionError):
+        attention(q, Tensor(np.zeros((1, 4, 2))), q, 1.0)
+    with pytest.raises(DimensionError):
+        attention(q, q, Tensor(np.zeros((1, 5, 3))), 1.0)
+
+
+def test_global_prompt_at_128_grid_stays_under_memory_cap():
+    """N = 16384: one copy of the full score matrix alone would be 2 GiB."""
+    rng = np.random.default_rng(7)
+    c, h, w = 8, 128, 128
+    n = h * w
+    x = rng.standard_normal((1, n, c))
+    params = GlobalPromptParams(
+        wq=Tensor(rng.standard_normal((2 * c, c))),
+        wk=Tensor(rng.standard_normal((2 * c, c))),
+        wv=Tensor(rng.standard_normal((2 * c, c))),
+    )
+    tracemalloc.start()
+    try:
+        out = global_prompt(Tensor(x), h, w, params).data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert out.shape == (1, n, c)
+    assert np.all(np.isfinite(out))
+
+    spec = np.fft.fft2(x[0].reshape(h, w, c), axes=(0, 1)).reshape(n, c)
+    feats = np.concatenate([spec.real, spec.imag], axis=-1) / n
+    k = feats @ params.wk.data
+    v = feats @ params.wv.data
+    picked = rng.choice(n, size=8, replace=False)
+    scores = feats[picked] @ params.wq.data @ k.T / np.sqrt(c)
+    probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    np.testing.assert_allclose(out[0, picked], probs @ v, rtol=1e-9, atol=1e-12)
 
 
 def test_fuse_prompts_shape_check():

@@ -35,6 +35,13 @@ def test_resample_matrix_rows_are_normalized():
         np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-12)
 
 
+def test_resample_matrix_is_cached_read_only():
+    m = resample_matrix(8, 16, "cubic", False)
+    assert resample_matrix(8, 16, "cubic", False) is m
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+
+
 def test_constants_survive_any_resize():
     x = np.full((1, 1, 6, 7), 42.0)
     for hw in ((12, 14), (3, 7), (9, 5)):
