@@ -16,10 +16,16 @@ Loading rebuilds the model from the stored config (so derived state
 like router noise streams comes back from the same seed) and overwrites
 the freshly initialized tensors with the stored blobs. A save of the
 loaded model reproduces the original file byte for byte.
+
+A save writes a temporary file next to the target and renames it over
+the target, so a save that fails partway leaves the previous checkpoint
+intact.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -47,8 +53,15 @@ def save_checkpoint(path, params: ModelParams, cfg: ModelConfig) -> None:
         out.append(struct.pack("<B", data.ndim))
         out.append(struct.pack(f"<{data.ndim}I", *data.shape))
         out.append(data.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(out))
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(out))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:

@@ -1,16 +1,16 @@
-"""Fourier transforms, hand-rolled, with differentiable 2-d wrappers.
+"""2-d Fourier transforms on ``numpy.fft``, with a differentiable spectrum.
 
 Conventions: the forward transform is unnormalized, kernel
-``exp(-2*pi*i*k*n/N)``; the inverse carries the full ``1/N`` (or
-``1/(H*W)`` in 2-d). Power-of-two extents go through an iterative
-radix-2 Cooley-Tukey (bit reversal, then vectorized butterflies); any
-other extent falls back to a direct matrix DFT, which keeps every size
-exact at O(N^2) cost.
+``exp(-2*pi*i*k*n/N)``; the inverse carries the full ``1/(H*W)``. Both
+act on the trailing two axes.
 
-The raw functions work on complex numpy arrays and carry no gradient.
+The raw functions work on numpy arrays and carry no gradient.
 :func:`fft2d` and :func:`ifft2d` wrap them for :class:`~.tensor.Tensor`
-inputs over the trailing two axes; since a linear map is its own
-Jacobian, the backward passes are single transforms as well.
+inputs. A spectrum is one tape node whose value holds both planes in one
+real array, ``planes[..., 0]`` the real part and ``planes[..., 1]`` the
+imaginary part (the memory layout of a complex array), so the backward
+pass of a transform is a single transform however many consumers read
+its planes.
 """
 
 from __future__ import annotations
@@ -19,61 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
-from .tensor import Tensor, atan2, hypot
+from .errors import DimensionError
+from .tensor import Tensor
 
 # -- raw complex transforms -------------------------------------------
-
-
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for b in range(bits):
-        rev = (rev << 1) | ((idx >> b) & 1)
-    return rev
-
-
-def _fft_radix2(a: np.ndarray) -> np.ndarray:
-    """Forward DFT over the last axis; length must be a power of two."""
-    n = a.shape[-1]
-    out = a[..., _bit_reverse_indices(n)].astype(np.complex128)
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp(-2j * np.pi * np.arange(half) / size)
-        blk = out.reshape(a.shape[:-1] + (n // size, size))
-        even = blk[..., :half].copy()
-        odd = blk[..., half:] * tw
-        blk[..., :half] = even + odd
-        blk[..., half:] = even - odd
-        size *= 2
-    return out
-
-
-def _dft_direct(a: np.ndarray) -> np.ndarray:
-    """Direct matrix DFT over the last axis, any length."""
-    n = a.shape[-1]
-    k = np.arange(n)
-    w = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    return a.astype(np.complex128) @ w
-
-
-def fft1d(a: np.ndarray) -> np.ndarray:
-    """Unnormalized forward DFT over the last axis."""
-    a = np.asarray(a)
-    n = a.shape[-1]
-    if n == 0:
-        raise DimensionError("fft1d of an empty axis")
-    if n & (n - 1) == 0:
-        return _fft_radix2(a)
-    return _dft_direct(a)
-
-
-def ifft1d(a: np.ndarray) -> np.ndarray:
-    """Inverse DFT over the last axis, including the 1/N factor."""
-    a = np.asarray(a)
-    return np.conj(fft1d(np.conj(a))) / a.shape[-1]
 
 
 def fft2d_raw(a: np.ndarray) -> np.ndarray:
@@ -81,9 +30,7 @@ def fft2d_raw(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim < 2:
         raise DimensionError(f"fft2d needs at least 2 axes, got shape {a.shape}")
-    step = fft1d(a)
-    step = fft1d(step.swapaxes(-1, -2)).swapaxes(-1, -2)
-    return step
+    return np.fft.fft2(a)
 
 
 def ifft2d_raw(a: np.ndarray) -> np.ndarray:
@@ -91,8 +38,19 @@ def ifft2d_raw(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim < 2:
         raise DimensionError(f"ifft2d needs at least 2 axes, got shape {a.shape}")
-    hw = a.shape[-1] * a.shape[-2]
-    return np.conj(fft2d_raw(np.conj(a))) / hw
+    return np.fft.ifft2(a)
+
+
+def _complex(planes: np.ndarray) -> np.ndarray:
+    """Complex view of a (..., 2) real/imaginary plane array."""
+    planes = np.ascontiguousarray(planes)
+    return planes.view(np.result_type(planes.dtype, np.complex64))[..., 0]
+
+
+def _planes(z: np.ndarray) -> np.ndarray:
+    """Real (..., 2) view of a complex array."""
+    z = np.ascontiguousarray(z)
+    return z.view(z.real.dtype).reshape(z.shape + (2,))
 
 
 # -- differentiable wrappers --------------------------------------------
@@ -100,114 +58,88 @@ def ifft2d_raw(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ComplexSpectrum:
-    """Real/imaginary planes of a transform, each a tracked tensor."""
+    """A transform as one tracked tensor of shape ``(..., H, W, 2)``."""
 
-    re: Tensor
-    im: Tensor
+    planes: Tensor
 
     @property
-    def shape(self):
-        return self.re.shape
+    def re(self) -> Tensor:
+        return self.planes[..., 0]
+
+    @property
+    def im(self) -> Tensor:
+        return self.planes[..., 1]
 
     def magnitude(self) -> Tensor:
         """|F|, with gradient defined as 0 at exact zeros."""
-        return hypot(self.re, self.im)
+        p = self.planes
+        out = np.hypot(p.data[..., 0], p.data[..., 1])
+        with np.errstate(divide="ignore"):
+            inv = np.where(out > 0, 1.0 / out, 0.0)
+        return Tensor._from_op(out, (p,), lambda g: ((g * inv)[..., None] * p.data,))
 
     def phase(self, grad_eps: float = 0.0) -> Tensor:
         """atan2(im, re); gradient masked to 0 on radii <= grad_eps."""
-        return atan2(self.im, self.re, grad_eps=grad_eps)
+        p = self.planes
+        re, im = p.data[..., 0], p.data[..., 1]
+        out = np.arctan2(im, re)
+        r2 = re * re + im * im
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = np.where(r2 > grad_eps * grad_eps, 1.0 / r2, 0.0)
+        inv = np.where(np.isfinite(inv), inv, 0.0)
+
+        def vjp(g):
+            gi = g * inv
+            ga = np.empty_like(p.data)
+            ga[..., 0] = -gi * im
+            ga[..., 1] = gi * re
+            return (ga,)
+
+        return Tensor._from_op(out, (p,), vjp)
 
 
 def fft2d(x: Tensor) -> ComplexSpectrum:
     """Differentiable forward 2-d DFT of a real tensor.
 
-    For real input the cotangents pull back through the (symmetric) DFT
-    matrix: with G = Gre - i*Gim, dL/dx = Re(F(G)).
+    The forward pass runs a real-input transform and fills the other
+    half of the spectrum from Hermitian symmetry, writing both planes
+    straight into one array. For real input the cotangents pull back
+    through the (symmetric) DFT matrix: with G = Gre - i*Gim,
+    dL/dx = Re(F(G)).
     """
     if not isinstance(x, Tensor):
         x = Tensor(x)
     if x.ndim < 2:
         raise DimensionError(f"fft2d needs at least 2 axes, got shape {tuple(x.shape)}")
-    f = fft2d_raw(x.data)
+    w = x.shape[-1]
+    half = w // 2 + 1
+    r = np.fft.rfft2(x.data)
+    planes = np.empty(x.shape + (2,), dtype=x.data.dtype)
+    spec = _complex(planes)
+    spec[..., :half] = r
+    # F[k1, k2] = conj(F[-k1, w - k2]) for the columns rfft2 leaves out
+    tail = r[..., (w - 1) // 2 : 0 : -1]
+    np.conjugate(tail[..., :1, :], out=spec[..., :1, half:])
+    np.conjugate(tail[..., :0:-1, :], out=spec[..., 1:, half:])
 
-    def vjp_re(g):
-        return (np.real(fft2d_raw(g)).astype(x.data.dtype),)
+    def vjp(g):
+        return (np.real(fft2d_raw(np.conj(_complex(g)))).astype(x.data.dtype),)
 
-    def vjp_im(g):
-        # d(im F)/dx pulled back: Re(F(-i*g)) = Im(F(g)) with a sign flip
-        return (np.real(fft2d_raw(-1j * g)).astype(x.data.dtype),)
-
-    re = Tensor._from_op(np.real(f).astype(x.data.dtype), (x,), vjp_re)
-    im = Tensor._from_op(np.imag(f).astype(x.data.dtype), (x,), vjp_im)
-    return ComplexSpectrum(re, im)
+    return ComplexSpectrum(Tensor._from_op(planes, (x,), vjp))
 
 
 def ifft2d(spec: ComplexSpectrum) -> ComplexSpectrum:
-    """Differentiable inverse 2-d DFT of a complex spectrum."""
-    re, im = spec.re, spec.im
-    if re.shape != im.shape:
-        raise DimensionError(
-            f"spectrum planes disagree: {tuple(re.shape)} vs {tuple(im.shape)}"
-        )
-    hw = re.shape[-1] * re.shape[-2]
-    y = ifft2d_raw(re.data + 1j * im.data)
+    """Differentiable inverse 2-d DFT of a complex spectrum.
 
-    def make_vjp(plane: str):
-        def vjp(gre, gim):
-            g = fft2d_raw(gre + 1j * gim) / hw
-            part = np.real(g) if plane == "re" else np.imag(g)
-            return part.astype(re.data.dtype)
-
-        return vjp
-
-    # each output plane depends on both inputs; build two nodes that
-    # share the forward value and split the cotangent algebraically
-    vre = make_vjp("re")
-    vim = make_vjp("im")
-
-    out_re = Tensor._from_op(
-        np.real(y).astype(re.data.dtype),
-        (re, im),
-        lambda g: (vre(g, np.zeros_like(g)), vim(g, np.zeros_like(g))),
-    )
-    out_im = Tensor._from_op(
-        np.imag(y).astype(re.data.dtype),
-        (re, im),
-        lambda g: (vre(np.zeros_like(g), g), vim(np.zeros_like(g), g)),
-    )
-    return ComplexSpectrum(out_re, out_im)
-
-
-def power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
-def radial_profile(mag: np.ndarray, nbins: int = 32) -> np.ndarray:
-    """Mean spectral magnitude per radial frequency band.
-
-    Frequencies are centered first; bin edges are uniform in normalized
-    radius [0, 0.5*sqrt(2)]. Empty bins report 0.
+    The map is complex-linear, so the cotangent planes pull back as the
+    forward transform of Gre + i*Gim divided by H*W.
     """
-    if mag.ndim != 2:
-        raise DimensionError(f"radial_profile expects a 2-d magnitude, got {mag.shape}")
-    if nbins < 1:
-        raise ContractError("radial_profile needs at least one bin")
-    h, w = mag.shape
-    fy = _fftfreq(h)[:, None]
-    fx = _fftfreq(w)[None, :]
-    r = np.hypot(fy, fx)
-    rmax = np.hypot(0.5, 0.5)
-    idx = np.minimum((r / rmax * nbins).astype(int), nbins - 1)
-    prof = np.zeros(nbins)
-    counts = np.bincount(idx.ravel(), minlength=nbins)
-    sums = np.bincount(idx.ravel(), weights=mag.ravel(), minlength=nbins)
-    nz = counts > 0
-    prof[nz] = sums[nz] / counts[nz]
-    return prof
+    p = spec.planes
+    if p.ndim < 3 or p.shape[-1] != 2:
+        raise DimensionError(f"spectrum planes need shape (..., H, W, 2), got {tuple(p.shape)}")
+    hw = p.shape[-2] * p.shape[-3]
 
+    def vjp(g):
+        return (_planes(fft2d_raw(_complex(g)) / hw),)
 
-def _fftfreq(n: int) -> np.ndarray:
-    """Cycle-per-sample frequencies in DFT output order."""
-    k = np.arange(n)
-    k = np.where(k <= (n - 1) // 2, k, k - n)
-    return k / n
+    return ComplexSpectrum(Tensor._from_op(_planes(ifft2d_raw(_complex(p.data))), (p,), vjp))

@@ -134,11 +134,10 @@ def phase_loss(sr, hr, phase_eps: float = PHASE_EPS) -> Tensor:
     if sr.shape != hr.shape:
         raise DimensionError(f"shape mismatch: {tuple(sr.shape)} vs {tuple(hr.shape)}")
     fs, fh = fft2d(sr), fft2d(hr)
-    d = atan2(fs.im, fs.re, grad_eps=phase_eps) - atan2(fh.im, fh.re, grad_eps=phase_eps)
+    d = fs.phase(grad_eps=phase_eps) - fh.phase(grad_eps=phase_eps)
     wrapped = atan2(sin(d), cos(d))
     keep = (
-        (np.hypot(fs.re.data, fs.im.data) >= phase_eps)
-        & (np.hypot(fh.re.data, fh.im.data) >= phase_eps)
+        (fs.magnitude().data >= phase_eps) & (fh.magnitude().data >= phase_eps)
     ).astype(sr.data.dtype)
     count = max(float(keep.sum()), 1.0)
     return (absolute(wrapped) * Tensor(keep)).sum() * (1.0 / count)

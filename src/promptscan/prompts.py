@@ -19,7 +19,6 @@ from .fft import fft2d
 from .tensor import (
     Tensor,
     astensor,
-    concat,
     matmul,
     reshape,
     softmax,
@@ -210,13 +209,12 @@ def global_prompt(
     grid = transpose(reshape(x, (bsz, h, w, c)), (0, 3, 1, 2))
     spec = fft2d(grid)
 
-    def flat(t):
-        return reshape(transpose(t, (0, 2, 3, 1)), (bsz, n, c))
-
     if features == "reim":
-        feats = concat([flat(spec.re), flat(spec.im)], axis=-1)
+        # (B, C, H, W, 2) -> (B, H, W, 2, C): per token, all real parts
+        # then all imaginary parts
+        feats = reshape(transpose(spec.planes, (0, 2, 3, 4, 1)), (bsz, n, 2 * c))
     else:
-        feats = flat(spec.magnitude())
+        feats = reshape(transpose(spec.magnitude(), (0, 2, 3, 1)), (bsz, n, c))
     feats = feats * (1.0 / n)
 
     fdim = feats.shape[-1]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from promptscan import checkpoint
 from promptscan.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from promptscan.errors import ParseError
 from promptscan.network import build_model, desk_config, named_parameters
@@ -39,6 +40,38 @@ def test_resave_is_byte_identical(tmp_path):
     loaded, loaded_cfg = load_checkpoint(a)
     save_checkpoint(b, loaded, loaded_cfg)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    params, cfg = _tiny_model(seed=2)
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, params, cfg)
+    before = path.read_bytes()
+
+    class TornFile:
+        """Writes half of what it is given, then fails like a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("No space left on device")
+
+    monkeypatch.setattr(checkpoint, "open", lambda *a, **k: TornFile(open(*a, **k)), raising=False)
+    for t in named_parameters(params).values():
+        t.data = t.data + 1.0
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(path, params, cfg)
+
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.bin"]
 
 
 def test_config_seed_travels_with_the_file(tmp_path):

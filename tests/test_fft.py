@@ -1,24 +1,23 @@
 import numpy as np
 import pytest
 
+from promptscan import fft
 from promptscan.fft import (
     ComplexSpectrum,
-    fft1d,
     fft2d,
     fft2d_raw,
     ifft2d,
     ifft2d_raw,
-    power_of_two,
-    radial_profile,
 )
-from promptscan.tensor import Tensor
+from promptscan.tensor import Tensor, set_default_dtype
 
 SIZES = ((4, 4), (7, 5), (8, 8), (16, 16))
 
 
 def naive_dft2(x):
-    """Textbook double-sum DFT, written independently of the library."""
-    h, w = x.shape
+    """Textbook double-sum DFT over the trailing two axes, written
+    independently of the library."""
+    h, w = x.shape[-2:]
     u = np.arange(h)
     v = np.arange(w)
     wh = np.exp(-2j * np.pi * np.outer(u, u) / h)
@@ -31,6 +30,9 @@ def test_matches_naive_dft(hw):
     rng = np.random.default_rng(hash(hw) % 2**32)
     x = rng.standard_normal(hw)
     np.testing.assert_allclose(fft2d_raw(x), naive_dft2(x), atol=1e-10)
+    # the taped spectrum fills the half rfft2 leaves out by Hermitian symmetry
+    planes = fft2d(Tensor(x)).planes.data
+    np.testing.assert_allclose(planes[..., 0] + 1j * planes[..., 1], naive_dft2(x), atol=1e-10)
 
 
 @pytest.mark.parametrize("hw", SIZES)
@@ -95,15 +97,16 @@ def test_shift_theorem_phase():
 
 
 def test_fft1d_odd_length_against_naive():
+    # a length-1 leading axis leaves a 1-d transform over the odd axis
     rng = np.random.default_rng(16)
     x = rng.standard_normal(7).astype(complex)
     n = 7
     ref = np.array([sum(x[t] * np.exp(-2j * np.pi * k * t / n) for t in range(n)) for k in range(n)])
-    np.testing.assert_allclose(fft1d(x), ref, atol=1e-11)
+    np.testing.assert_allclose(fft2d_raw(x[None, :])[0], ref, atol=1e-11)
 
 
 def test_magnitude_pythagorean_value():
-    spec = ComplexSpectrum(re=Tensor(np.array([[3.0]])), im=Tensor(np.array([[4.0]])))
+    spec = ComplexSpectrum(Tensor(np.array([[[3.0, 4.0]]])))
     assert spec.magnitude().data[0, 0] == 5.0
 
 
@@ -119,15 +122,39 @@ def test_differentiable_transform_matches_raw():
     np.testing.assert_allclose(rec.im.data, 0.0, atol=1e-11)
 
 
-def test_power_of_two():
-    assert [power_of_two(n) for n in (1, 2, 3, 8, 12, 16)] == [
-        True, True, False, True, False, True,
-    ]
+def test_backward_through_both_planes_runs_one_transform(monkeypatch):
+    rng = np.random.default_rng(18)
+    x = Tensor(rng.standard_normal((2, 3, 6, 5)), requires_grad=True)
+    w_re, w_im = rng.standard_normal((2,) + x.shape)
+    spec = fft2d(x)
+    loss = (spec.re * Tensor(w_re)).sum() + (spec.im * Tensor(w_im)).sum()
+
+    calls = []
+    transform = fft.np.fft.fft2
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(fft.np.fft, "fft2", counting)
+    loss.backward()
+    assert len(calls) == 1
+    # d/dx sum(w_re*Re F + w_im*Im F) = Re F(w_re - i*w_im), F symmetric
+    want = np.real(naive_dft2(w_re - 1j * w_im))
+    np.testing.assert_allclose(x.grad, want, atol=1e-11)
 
 
-def test_radial_profile_of_delta_is_flat():
-    x = np.zeros((16, 16))
-    x[0, 0] = 1.0
-    mag = np.abs(fft2d_raw(x))
-    prof = radial_profile(mag, nbins=8)
-    np.testing.assert_allclose(prof, 1.0, atol=1e-12)
+def test_float32_spectrum_and_gradient_stay_float32():
+    rng = np.random.default_rng(19)
+    try:
+        set_default_dtype(np.float32)
+        x = Tensor(rng.standard_normal((1, 2, 4, 6)), requires_grad=True)
+        spec = fft2d(x)
+        assert spec.planes.data.dtype == np.float32
+        (spec.magnitude().sum() + spec.phase().sum() + ifft2d(spec).re.sum()).backward()
+        assert x.grad.dtype == np.float32
+    finally:
+        set_default_dtype(np.float64)
+    np.testing.assert_allclose(
+        spec.planes.data[..., 0], fft2d_raw(x.data).real, rtol=1e-5, atol=1e-5
+    )

@@ -15,7 +15,8 @@ from promptscan.prompts import (
     gumbel_noise,
     route_tokens,
 )
-from promptscan.tensor import Tensor, matmul, softmax, transpose
+from promptscan.fft import fft2d
+from promptscan.tensor import Tensor, concat, matmul, reshape, softmax, transpose
 
 
 def make_pool(t=4, c=3, seed=0, temperature=1.0):
@@ -142,6 +143,33 @@ def test_global_prompt_magnitude_features():
     )
     out = global_prompt(x, 3, 3, params, features="magnitude")
     assert out.shape == (1, 9, c)
+
+
+def test_global_prompt_reim_features_keep_the_concat_layout(monkeypatch):
+    """[re | im] from the stacked planes equals concat of the two flattened
+    planes bit for bit."""
+    rng = np.random.default_rng(6)
+    bsz, h, w, c = 2, 3, 5, 4
+    x = Tensor(rng.standard_normal((bsz, h * w, c)))
+    params = GlobalPromptParams(*(Tensor(rng.standard_normal((2 * c, c))) for _ in range(3)))
+    seen = []
+
+    def spy(a, b):
+        seen.append(a.data)
+        return matmul(a, b)
+
+    monkeypatch.setattr(prompts, "matmul", spy)
+    global_prompt(x, h, w, params)
+
+    spec = fft2d(transpose(reshape(x, (bsz, h, w, c)), (0, 3, 1, 2)))
+
+    def flat(t):
+        return reshape(transpose(t, (0, 2, 3, 1)), (bsz, h * w, c))
+
+    old = concat([flat(spec.re), flat(spec.im)], axis=-1) * (1.0 / (h * w))
+    assert len(seen) == 3
+    for feats in seen:
+        np.testing.assert_array_equal(feats, old.data)
 
 
 @pytest.mark.parametrize("rows", [5, 1, 64], ids=["ragged", "single-row", "one-block"])
