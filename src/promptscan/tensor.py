@@ -531,14 +531,16 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 def conv2d(x, k, pad: int) -> Tensor:
     """Cross-correlation of NCHW input with OIHW kernel, zero padding.
 
-    Odd kernels only; ``pad=(kh-1)//2`` keeps the spatial size.
+    Odd kernels only; ``pad=(kh-1)//2`` keeps the spatial size. ``pad``
+    may not exceed either kernel extent minus one, so the input gradient
+    is one correlation of the cotangent padded by ``k-1-pad``.
     """
     x, k = astensor(x), astensor(k)
     if x.ndim != 4 or k.ndim != 4:
         raise DimensionError(
             f"conv2d expects 4-d input and kernel, got {tuple(x.shape)} and {tuple(k.shape)}"
         )
-    bsz, cin, h, w = x.shape
+    cin = x.shape[1]
     cout, kin, kh, kw = k.shape
     if kin != cin:
         raise DimensionError(
@@ -548,6 +550,8 @@ def conv2d(x, k, pad: int) -> Tensor:
         raise ContractError(f"conv2d kernel extents must be odd, got {kh}x{kw}")
     if pad < 0:
         raise ContractError("conv2d pad must be non-negative")
+    if pad > min(kh, kw) - 1:
+        raise ContractError(f"conv2d pad {pad} exceeds kernel extent - 1 for {kh}x{kw}")
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
@@ -555,11 +559,11 @@ def conv2d(x, k, pad: int) -> Tensor:
 
     def vjp(g):
         gk = np.einsum("bchwuv,bohw->ocuv", win, g, optimize=True)
-        gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+        ph, pw = kh - 1 - pad, kw - 1 - pad
+        gp = np.pad(g, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
         gwin = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(2, 3))
         kflip = k.data[:, :, ::-1, ::-1]
-        gxp = np.einsum("bohwuv,ocuv->bchw", gwin, kflip, optimize=True)
-        gx = gxp[:, :, pad : pad + h, pad : pad + w]
+        gx = np.einsum("bohwuv,ocuv->bchw", gwin, kflip, optimize=True)
         return (gx, gk)
 
     return Tensor._from_op(out, (x, k), vjp)

@@ -9,7 +9,6 @@ from promptscan.scan import (
     SsmParams,
     derive_ssm_params,
     gated_recurrence,
-    identity_order,
     selective_scan,
     semantic_order,
     stable_a_log_init,
@@ -37,6 +36,81 @@ def test_recurrence_matches_scalar_oracle():
     a = rng.uniform(-0.99, 0.99, shape)
     out = gated_recurrence(Tensor(x), Tensor(a), Tensor(b), Tensor(c)).data
     assert np.max(np.abs(out - recurrence_oracle(x, a, b, c))) <= 1e-14
+
+
+def sequential_adjoint(x, a, b, c, g):
+    """Token-by-token reverse sweep of the scan's adjoint: (dx, da, db, dc)."""
+    bsz, n, ch = x.shape
+    h = np.empty_like(x)
+    prev = np.zeros((bsz, ch))
+    for t in range(n):
+        prev = a[:, t] * prev + b[:, t] * x[:, t]
+        h[:, t] = prev
+    lam = np.zeros((bsz, ch))
+    dx, da, db = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    for t in range(n - 1, -1, -1):
+        lam = g[:, t] * c[:, t] + lam
+        da[:, t] = lam * (h[:, t - 1] if t > 0 else 0.0)
+        db[:, t] = lam * x[:, t]
+        dx[:, t] = lam * b[:, t]
+        lam = lam * a[:, t]
+    return dx, da, db, g * h
+
+
+@pytest.mark.parametrize(
+    "n,low",
+    [(1, 0.0), (2, 0.0), (2, -0.99), (4099, 0.0), (4099, -0.99)],
+)
+def test_recurrence_matches_scalar_oracle_across_chunks(n, low):
+    # 4099 is not a perfect square, so the last chunk is padded
+    rng = np.random.default_rng(n)
+    shape = (2, n, 2)
+    x, b, c = rng.standard_normal((3,) + shape)
+    a = rng.uniform(low, 0.99, shape)
+    ref = recurrence_oracle(x, a, b, c)
+    out = gated_recurrence(Tensor(x), Tensor(a), Tensor(b), Tensor(c)).data
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_recurrence_with_exact_zero_decays():
+    rng = np.random.default_rng(6)
+    shape = (2, 40, 3)
+    x, b, c = rng.standard_normal((3,) + shape)
+    a = rng.uniform(0.5, 0.99, shape)
+    a[rng.uniform(size=shape) < 0.2] = 0.0
+    a[:, [0, 7, 13, 14]] = 0.0
+    ref = recurrence_oracle(x, a, b, c)
+    trace = {}
+    out = gated_recurrence(Tensor(x), Tensor(a), Tensor(b), Tensor(c), trace=trace).data
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # a zero decay restarts the state from the current input alone
+    np.testing.assert_array_equal(trace["h"][a == 0.0], (b * x)[a == 0.0])
+
+
+def test_recurrence_vjp_matches_sequential_adjoint():
+    rng = np.random.default_rng(7)
+    shape = (2, 300, 3)
+    x, b, c, g = rng.standard_normal((4,) + shape)
+    a = rng.uniform(-0.99, 0.99, shape)
+    leaves = [Tensor(v, requires_grad=True) for v in (x, a, b, c)]
+    (gated_recurrence(*leaves) * Tensor(g)).sum().backward()
+    for leaf, ref in zip(leaves, sequential_adjoint(x, a, b, c, g)):
+        assert np.max(np.abs(leaf.grad - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("t0", [1, 8, 27, 35, 49])
+def test_zero_decay_cuts_every_earlier_gradient(t0):
+    # N = 50 runs in chunks of 8: t0 covers chunk starts, middles and the end
+    rng = np.random.default_rng(t0)
+    shape = (2, 50, 3)
+    b, c, w = rng.standard_normal((3,) + shape)
+    a = rng.uniform(0.9, 0.99, shape)
+    a[:, t0] = 0.0
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    y = gated_recurrence(x, Tensor(a), Tensor(b), Tensor(c))
+    (y * Tensor(w))[:, t0:].sum().backward()
+    assert np.all(x.grad[:, :t0] == 0.0)
+    assert np.all(x.grad[:, t0:] != 0.0)
 
 
 def test_trace_records_state_trajectory():
@@ -172,8 +246,3 @@ def test_stable_a_log_init_hits_target_decay_at_zero_input():
     decay = math.exp(math.log(2.0) * -math.exp(a_log))
     assert abs(decay - target) <= 1e-12
 
-
-def test_identity_order_shapes():
-    order = identity_order(3, 5)
-    assert order.perm.shape == (3, 5)
-    np.testing.assert_array_equal(order.perm, order.inv_perm)

@@ -148,6 +148,31 @@ def test_conv2d_rejects_even_kernel():
         conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))), pad=0)
 
 
+def test_conv2d_rejects_pad_beyond_kernel_extent():
+    x = Tensor(np.zeros((1, 1, 4, 4)))
+    conv2d(x, Tensor(np.zeros((1, 1, 3, 3))), pad=2)
+    with pytest.raises(ContractError):
+        conv2d(x, Tensor(np.zeros((1, 1, 3, 3))), pad=3)
+    with pytest.raises(ContractError):
+        conv2d(x, Tensor(np.zeros((1, 1, 5, 3))), pad=3)
+
+
+@pytest.mark.parametrize("kh,kw,pad", [(3, 3, 0), (3, 3, 2), (5, 3, 1), (1, 1, 0)])
+def test_conv2d_input_gradient_scatters_each_output(kh, kw, pad):
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.standard_normal((2, 2, 5, 6)), requires_grad=True)
+    k = rng.standard_normal((3, 2, kh, kw))
+    out = conv2d(x, Tensor(k), pad=pad)
+    g = rng.standard_normal(out.shape)
+    (out * Tensor(g)).sum().backward()
+
+    ref = np.zeros((2, 2, 5 + 2 * pad, 6 + 2 * pad))
+    for i in range(out.shape[2]):
+        for j in range(out.shape[3]):
+            ref[:, :, i : i + kh, j : j + kw] += np.einsum("bo,ocuv->bcuv", g[:, :, i, j], k)
+    np.testing.assert_allclose(x.grad, ref[:, :, pad : pad + 5, pad : pad + 6], atol=1e-12)
+
+
 def test_pixel_shuffle_layout_oracle():
     # channel c of an r*r group lands on the (c // r, c % r) offset
     r = 2
