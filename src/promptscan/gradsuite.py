@@ -45,7 +45,15 @@ from .losses import (
     thermal_mask,
     total_loss,
 )
-from .network import ForwardMode, asf_ssm_forward, build_model, desk_config, model_forward
+from .network import (
+    ForwardMode,
+    asf_ssm_forward,
+    build_model,
+    desk_config,
+    model_forward,
+    module_parameters,
+    named_parameters,
+)
 from .prompts import (
     GlobalPromptParams,
     PromptPool,
@@ -70,7 +78,6 @@ from .tensor import (
     layer_norm,
     log,
     pixel_shuffle,
-    pixel_unshuffle,
     relu,
     separable_map,
     sigmoid,
@@ -296,14 +303,12 @@ def _mk_conv2d(rng, i):
 
 def _mk_shuffle(rng, _i):
     x = _leaf(rng, (2, 8, 3, 4))
-    y = _leaf(rng, (2, 2, 6, 8))
-    w1 = _w(rng, (2, 2, 6, 8))
-    w2 = _w(rng, (2, 8, 3, 4))
+    w = _w(rng, (2, 2, 6, 8))
 
     def forward():
-        return _wsum(pixel_shuffle(x, 2), w1) + _wsum(pixel_unshuffle(y, 2), w2)
+        return _wsum(pixel_shuffle(x, 2), w)
 
-    return forward, [x, y]
+    return forward, [x]
 
 
 def _mk_separable_map(rng, _i):
@@ -521,21 +526,6 @@ def _mk_losses(rng, _i):
 
 # -- composites -------------------------------------------------------------
 
-_MODULE_LEAVES_COMMON = ("w_mlp", "b_mlp", "w_in", "b_in", "ln_g", "ln_b", "w_out", "b_out")
-
-
-def _module_leaves(mp, cfg) -> list:
-    leaves = [getattr(mp, nm) for nm in _MODULE_LEAVES_COMMON]
-    leaves += [mp.pool.pool, mp.attn.wq, mp.attn.wk, mp.attn.wv]
-    if cfg.discretization == "zoh":
-        leaves.append(mp.a_log)
-    else:
-        leaves += [mp.w_delta, mp.b_delta]
-    if cfg.router == "mlp":
-        leaves += [mp.w_route1, mp.b_route1, mp.w_route2, mp.b_route2]
-    return leaves
-
-
 def _mk_ssm_module(rng, i):
     variant = i % 2
     cfg = desk_config(
@@ -555,7 +545,7 @@ def _mk_ssm_module(rng, i):
     def forward():
         return _wsum(asf_ssm_forward(x, mp, cfg, 3, 3, mode), w)
 
-    return forward, [x] + _module_leaves(mp, cfg)
+    return forward, [x] + list(module_parameters(mp).values())
 
 
 def _mk_model(rng, _i):
@@ -568,8 +558,6 @@ def _mk_model(rng, _i):
         seed=int(rng.integers(0, 2**31)),
     )
     params = build_model(cfg)
-    from .network import named_parameters
-
     leaves = [t for _, t in sorted(named_parameters(params).items())]
     x = Tensor(rng.uniform(0, 255, (1, 1, 8, 8)), requires_grad=True)
     mode = ForwardMode(train=False, route="soft")

@@ -18,17 +18,6 @@ from .errors import ContractError, DimensionError
 _PEAK = 255.0
 
 
-def y_channel(img: np.ndarray) -> np.ndarray:
-    """Luma of an RGB (3, H, W) image via BT.601; grayscale passes through."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim == 3 and img.shape[0] == 3:
-        r, g, b = img[0], img[1], img[2]
-        return 0.299 * r + 0.587 * g + 0.114 * b
-    if img.ndim == 2 or (img.ndim == 3 and img.shape[0] == 1):
-        return img[0] if img.ndim == 3 else img
-    raise DimensionError(f"expected (H, W), (1, H, W) or (3, H, W), got {img.shape}")
-
-
 def mse(a: np.ndarray, b: np.ndarray) -> float:
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:

@@ -12,7 +12,8 @@ logits, and loss magnitudes in comparable ranges.
 
 Every learnable parameter is a Tensor with requires_grad=True, created
 from the config seed in a fixed order, so two builds from the same
-config are bit-identical.
+config are bit-identical. A module holds only the weights its config
+reads; this file is the one place that decides which those are.
 """
 
 from __future__ import annotations
@@ -107,19 +108,24 @@ class ForwardMode:
 
 @dataclass
 class SsmModuleParams:
+    """One module's weights. A field the config does not read is None:
+    ``a_log`` exists only for zoh, ``w_delta``/``b_delta`` only for
+    direct, the route head only for the mlp router with prompts fused,
+    and ``pool``/``attn`` only with prompts fused."""
+
     w_mlp: Tensor
     b_mlp: Tensor
     w_in: Tensor
     b_in: Tensor
-    a_log: Tensor
-    w_delta: Tensor
-    b_delta: Tensor
-    w_route1: Tensor
-    b_route1: Tensor
-    w_route2: Tensor
-    b_route2: Tensor
-    pool: PromptPool
-    attn: GlobalPromptParams
+    a_log: Tensor | None
+    w_delta: Tensor | None
+    b_delta: Tensor | None
+    w_route1: Tensor | None
+    b_route1: Tensor | None
+    w_route2: Tensor | None
+    b_route2: Tensor | None
+    pool: PromptPool | None
+    attn: GlobalPromptParams | None
     ln_g: Tensor
     ln_b: Tensor
     w_out: Tensor
@@ -159,14 +165,28 @@ def _zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
+def _only_if(read: bool, value):
+    """``value`` if the config reads it, else None; the caller has built
+    ``value`` either way, so its random draws are made either way."""
+    return value if read else None
+
+
 def build_model(cfg: ModelConfig) -> ModelParams:
-    """Allocate and seed every parameter. Draw order is fixed."""
+    """Allocate and seed the parameters the config reads. Draw order is fixed.
+
+    Every optional weight is drawn whether or not the config reads it and
+    then dropped, so a kept tensor has the same values under every config
+    with the same seed.
+    """
     cfg.validate()
     streams = seed_streams(cfg.seed)
     rng = np.random.default_rng(streams["init"])
     route_rng = np.random.default_rng(streams["route"])
     c, t = cfg.channels, cfg.pool_size
     fdim = 2 * c if cfg.spectral_features == "reim" else c
+    zoh = cfg.discretization == "zoh"
+    fused = cfg.prompts == "fused"
+    route_head = fused and cfg.router == "mlp"
 
     blocks = []
     for _ in range(cfg.blocks):
@@ -179,22 +199,30 @@ def build_model(cfg: ModelConfig) -> ModelParams:
                     b_mlp=_zeros(c),
                     w_in=_uniform(rng, (c, 3 * c + t), c),
                     b_in=_zeros(3 * c + t),
-                    a_log=Tensor(np.full(c, stable_a_log_init(0.9)), requires_grad=True),
-                    w_delta=_uniform(rng, (c, c), c),
-                    b_delta=_zeros(c),
-                    w_route1=_uniform(rng, (c, c), c),
-                    b_route1=_zeros(c),
-                    w_route2=_uniform(rng, (c, t), c),
-                    b_route2=_zeros(t),
-                    pool=PromptPool(
-                        pool=_uniform(rng, (t, c), c),
-                        temperature=cfg.temperature,
-                        rng_seed=pool_seed,
+                    a_log=_only_if(
+                        zoh, Tensor(np.full(c, stable_a_log_init(0.9)), requires_grad=True)
                     ),
-                    attn=GlobalPromptParams(
-                        wq=_uniform(rng, (fdim, c), fdim),
-                        wk=_uniform(rng, (fdim, c), fdim),
-                        wv=_uniform(rng, (fdim, c), fdim),
+                    w_delta=_only_if(not zoh, _uniform(rng, (c, c), c)),
+                    b_delta=_only_if(not zoh, _zeros(c)),
+                    w_route1=_only_if(route_head, _uniform(rng, (c, c), c)),
+                    b_route1=_only_if(route_head, _zeros(c)),
+                    w_route2=_only_if(route_head, _uniform(rng, (c, t), c)),
+                    b_route2=_only_if(route_head, _zeros(t)),
+                    pool=_only_if(
+                        fused,
+                        PromptPool(
+                            pool=_uniform(rng, (t, c), c),
+                            temperature=cfg.temperature,
+                            rng_seed=pool_seed,
+                        ),
+                    ),
+                    attn=_only_if(
+                        fused,
+                        GlobalPromptParams(
+                            wq=_uniform(rng, (fdim, c), fdim),
+                            wk=_uniform(rng, (fdim, c), fdim),
+                            wv=_uniform(rng, (fdim, c), fdim),
+                        ),
                     ),
                     ln_g=Tensor(np.ones(c), requires_grad=True),
                     ln_b=_zeros(c),
@@ -221,31 +249,36 @@ def build_model(cfg: ModelConfig) -> ModelParams:
     )
 
 
+def module_parameters(m: SsmModuleParams) -> dict:
+    """Name->Tensor view of the parameters one module holds."""
+    out = {
+        "w_mlp": m.w_mlp,
+        "b_mlp": m.b_mlp,
+        "w_in": m.w_in,
+        "b_in": m.b_in,
+        "a_log": m.a_log,
+        "w_delta": m.w_delta,
+        "b_delta": m.b_delta,
+        "w_route1": m.w_route1,
+        "b_route1": m.b_route1,
+        "w_route2": m.w_route2,
+        "b_route2": m.b_route2,
+    }
+    if m.pool is not None:
+        out["pool"] = m.pool.pool
+    if m.attn is not None:
+        out.update(wq=m.attn.wq, wk=m.attn.wk, wv=m.attn.wv)
+    out.update(ln_g=m.ln_g, ln_b=m.ln_b, w_out=m.w_out, b_out=m.b_out)
+    return {name: t for name, t in out.items() if t is not None}
+
+
 def named_parameters(params: ModelParams) -> dict:
     """Flat name->Tensor view of every learnable parameter."""
     out = {"shallow.k": params.shallow_k, "shallow.b": params.shallow_b}
     for i, blk in enumerate(params.blocks):
         for j, m in enumerate(blk.modules):
-            pre = f"block{i}.mod{j}."
-            out[pre + "w_mlp"] = m.w_mlp
-            out[pre + "b_mlp"] = m.b_mlp
-            out[pre + "w_in"] = m.w_in
-            out[pre + "b_in"] = m.b_in
-            out[pre + "a_log"] = m.a_log
-            out[pre + "w_delta"] = m.w_delta
-            out[pre + "b_delta"] = m.b_delta
-            out[pre + "w_route1"] = m.w_route1
-            out[pre + "b_route1"] = m.b_route1
-            out[pre + "w_route2"] = m.w_route2
-            out[pre + "b_route2"] = m.b_route2
-            out[pre + "pool"] = m.pool.pool
-            out[pre + "wq"] = m.attn.wq
-            out[pre + "wk"] = m.attn.wk
-            out[pre + "wv"] = m.attn.wv
-            out[pre + "ln_g"] = m.ln_g
-            out[pre + "ln_b"] = m.ln_b
-            out[pre + "w_out"] = m.w_out
-            out[pre + "b_out"] = m.b_out
+            for name, t in module_parameters(m).items():
+                out[f"block{i}.mod{j}.{name}"] = t
     for s, (k, b) in enumerate(zip(params.up_k, params.up_b)):
         out[f"up{s}.k"] = k
         out[f"up{s}.b"] = b
@@ -254,10 +287,6 @@ def named_parameters(params: ModelParams) -> dict:
     out["gate.k"] = params.gate_k
     out["gate.b"] = params.gate_b
     return out
-
-
-def parameter_count(params: ModelParams) -> int:
-    return sum(p.size for p in named_parameters(params).values())
 
 
 def _conv(x, k, b):

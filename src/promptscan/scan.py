@@ -67,7 +67,12 @@ def _linear_scan(a, u):
         h[:, :, i] += prod[:, :, i] * h[:, :, i - 1]
         prod[:, :, i] *= prod[:, :, i - 1]
     for j in range(1, m):
-        h[:, j] += prod[:, j] * h[:, j - 1, -1:]
+        carry = h[:, j - 1, -1:]
+        if not carry.all():
+            # a zero state carries nothing, also where the decay product
+            # overflowed to inf: inf * 0 would be nan
+            np.copyto(prod[:, j], 0.0, where=carry == 0.0)
+        h[:, j] += prod[:, j] * carry
     return h.reshape(bsz, m * size, ch)[:, :n]
 
 

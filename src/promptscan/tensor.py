@@ -1,6 +1,6 @@
 """Dense tensors with a taped reverse-mode gradient engine.
 
-Values are numpy arrays (float64 by default). Every differentiable
+Values are float64 numpy arrays. Every differentiable
 operation that touches a grad-tracked tensor records a node holding its
 parents and a vector-Jacobian closure; ``Tensor.backward()`` replays the
 recorded graph in reverse topological order and accumulates gradients on
@@ -18,22 +18,6 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 
-_DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    """Switch the dtype used for new tensors (float64 or float32)."""
-    global _DEFAULT_DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ContractError(f"unsupported tensor dtype {dt}")
-    _DEFAULT_DTYPE = dt.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
 class Tensor:
     """N-dimensional real array participating in the differentiation graph.
 
@@ -45,7 +29,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -301,19 +285,23 @@ def relu(a) -> Tensor:
     )
 
 
+def _stable_sigmoid(x):
+    """(e^-|x|, sigmoid(x)); the sigmoid never exponentiates a positive number."""
+    e = np.exp(-np.abs(x))
+    return e, np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a) -> Tensor:
     a = astensor(a)
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    _, out = _stable_sigmoid(a.data)
     return Tensor._from_op(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def softplus(a) -> Tensor:
     """log(1 + e^x), computed stably; derivative is the sigmoid."""
     a = astensor(a)
-    x = a.data
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e, sig = _stable_sigmoid(a.data)
+    out = np.maximum(a.data, 0.0) + np.log1p(e)
     return Tensor._from_op(out, (a,), lambda g: (g * sig,))
 
 
@@ -600,20 +588,6 @@ def pixel_shuffle(x, r: int) -> Tensor:
         )
     return Tensor._from_op(
         _shuffle_fwd(x.data, r), (x,), lambda g: (_unshuffle_fwd(g, r),)
-    )
-
-
-def pixel_unshuffle(x, r: int) -> Tensor:
-    """Inverse of :func:`pixel_shuffle`."""
-    x = astensor(x)
-    if x.ndim != 4:
-        raise DimensionError(f"pixel_unshuffle expects 4-d input, got {tuple(x.shape)}")
-    if x.shape[2] % r != 0 or x.shape[3] % r != 0:
-        raise DimensionError(
-            f"pixel_unshuffle spatial extents {x.shape[2:]} not divisible by r={r}"
-        )
-    return Tensor._from_op(
-        _unshuffle_fwd(x.data, r), (x,), lambda g: (_shuffle_fwd(g, r),)
     )
 
 

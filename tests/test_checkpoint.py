@@ -15,21 +15,25 @@ def _tiny_model(seed=0):
 
 
 def test_round_trip_restores_every_array_exactly(tmp_path):
-    params, cfg = _tiny_model(seed=3)
-    rng = np.random.default_rng(5)
-    for t in named_parameters(params).values():
-        t.data = rng.standard_normal(t.shape)
+    # the mlp/direct config holds the route head and delta projection
+    # that the default config leaves out
+    for extra in ({}, {"router": "mlp", "discretization": "direct"}):
+        cfg = desk_config(seed=3, **TINY, **extra)
+        params = build_model(cfg)
+        rng = np.random.default_rng(5)
+        for t in named_parameters(params).values():
+            t.data = rng.standard_normal(t.shape)
 
-    path = tmp_path / "m.bin"
-    save_checkpoint(path, params, cfg)
-    loaded, loaded_cfg = load_checkpoint(path)
+        path = tmp_path / "m.bin"
+        save_checkpoint(path, params, cfg)
+        loaded, loaded_cfg = load_checkpoint(path)
 
-    assert loaded_cfg == cfg
-    orig = named_parameters(params)
-    back = named_parameters(loaded)
-    assert sorted(orig) == sorted(back)
-    for name in orig:
-        np.testing.assert_array_equal(orig[name].data, back[name].data)
+        assert loaded_cfg == cfg
+        orig = named_parameters(params)
+        back = named_parameters(loaded)
+        assert sorted(orig) == sorted(back)
+        for name in orig:
+            np.testing.assert_array_equal(orig[name].data, back[name].data)
 
 
 def test_resave_is_byte_identical(tmp_path):

@@ -9,7 +9,7 @@ from promptscan.fft import (
     ifft2d,
     ifft2d_raw,
 )
-from promptscan.tensor import Tensor, set_default_dtype
+from promptscan.tensor import Tensor
 
 SIZES = ((4, 4), (7, 5), (8, 8), (16, 16))
 
@@ -142,19 +142,3 @@ def test_backward_through_both_planes_runs_one_transform(monkeypatch):
     # d/dx sum(w_re*Re F + w_im*Im F) = Re F(w_re - i*w_im), F symmetric
     want = np.real(naive_dft2(w_re - 1j * w_im))
     np.testing.assert_allclose(x.grad, want, atol=1e-11)
-
-
-def test_float32_spectrum_and_gradient_stay_float32():
-    rng = np.random.default_rng(19)
-    try:
-        set_default_dtype(np.float32)
-        x = Tensor(rng.standard_normal((1, 2, 4, 6)), requires_grad=True)
-        spec = fft2d(x)
-        assert spec.planes.data.dtype == np.float32
-        (spec.magnitude().sum() + spec.phase().sum() + ifft2d(spec).re.sum()).backward()
-        assert x.grad.dtype == np.float32
-    finally:
-        set_default_dtype(np.float64)
-    np.testing.assert_allclose(
-        spec.planes.data[..., 0], fft2d_raw(x.data).real, rtol=1e-5, atol=1e-5
-    )

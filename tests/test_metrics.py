@@ -12,7 +12,6 @@ from promptscan.metrics import (
     mse,
     psnr,
     ssim,
-    y_channel,
 )
 
 
@@ -79,18 +78,6 @@ def test_ssim_matches_window_oracle():
 def test_ssim_rejects_small_images():
     with pytest.raises(ContractError):
         ssim(np.zeros((10, 11)), np.zeros((10, 11)))
-
-
-def test_y_channel_bt601_and_passthrough():
-    rgb = np.zeros((3, 2, 2))
-    rgb[0] = 100.0  # pure red plane
-    y = y_channel(rgb)
-    np.testing.assert_allclose(y, 100.0 * 0.299, atol=1e-12)
-    gray = np.arange(4.0).reshape(2, 2)
-    np.testing.assert_array_equal(y_channel(gray), gray)
-    np.testing.assert_array_equal(y_channel(gray[None]), gray)
-    with pytest.raises(DimensionError):
-        y_channel(np.zeros((4, 2, 2)))
 
 
 def test_error_histogram_bin_edges_are_exact():

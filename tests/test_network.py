@@ -11,7 +11,6 @@ from promptscan.network import (
     desk_config,
     model_forward,
     named_parameters,
-    parameter_count,
     seed_streams,
 )
 from promptscan.resize import resample
@@ -69,9 +68,41 @@ def test_parameter_names_cover_structure():
     assert "block0.mod0.w_mlp" in names and "block1.mod1.pool" in names
     assert "up0.k" in names and "up1.k" in names  # two stages at scale 4
     assert "final.k" in names and "gate.k" in names
-    assert parameter_count(build_model(cfg)) == sum(
-        p.size for p in named_parameters(build_model(cfg)).values()
+
+
+def test_default_config_holds_only_the_weights_it_reads():
+    named = named_parameters(build_model(ModelConfig()))
+    assert len(named) == 60
+    assert sum(t.size for t in named.values()) == 85_778
+    for dropped in ("w_delta", "b_delta", "w_route1", "b_route1", "w_route2", "b_route2"):
+        assert not any(n.endswith("." + dropped) for n in named)
+
+
+@pytest.mark.parametrize("prompts", ["fused", "off"])
+@pytest.mark.parametrize("disc", ["zoh", "direct"])
+@pytest.mark.parametrize("router", ["split", "mlp"])
+def test_every_parameter_but_the_mask_gate_gets_a_gradient(router, disc, prompts):
+    cfg = desk_config(**TINY, router=router, discretization=disc, prompts=prompts)
+    params = build_model(cfg)
+    rng = np.random.default_rng(4)
+    out = model_forward(
+        Tensor(rng.uniform(0, 255, (1, 1, 8, 8))), params, cfg, ForwardMode(train=True)
     )
+    (out * Tensor(rng.standard_normal(out.shape))).sum().backward()
+    missing = [
+        name for name, t in named_parameters(params).items()
+        if t.grad is None and not name.startswith("gate.")
+    ]
+    assert missing == []
+
+
+def test_kept_weights_do_not_depend_on_which_others_the_config_reads():
+    default = named_parameters(build_model(desk_config(seed=3)))
+    other = named_parameters(build_model(desk_config(seed=3, router="mlp", discretization="direct")))
+    shared = default.keys() & other.keys()
+    assert len(shared) == 56
+    for name in shared:
+        assert default[name].data.tobytes() == other[name].data.tobytes()
 
 
 def test_module_with_zero_head_makes_block_an_identity():

