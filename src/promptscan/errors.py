@@ -18,7 +18,7 @@ class ParseError(ValueError):
 
 
 class NumericalConsistencyError(ArithmeticError):
-    """A numerical self-check failed (e.g. imaginary residue after an inverse FFT)."""
+    """A numerical self-check failed (e.g. scan states overflowed from finite operands)."""
 
 
 class TrainingAborted(RuntimeError):

@@ -5,7 +5,7 @@ Conventions: the forward transform is unnormalized, kernel
 act on the trailing two axes.
 
 The raw functions work on numpy arrays and carry no gradient.
-:func:`fft2d` and :func:`ifft2d` wrap them for :class:`~.tensor.Tensor`
+:func:`fft2d` wraps the forward one for :class:`~.tensor.Tensor`
 inputs. A spectrum is one tape node whose value holds both planes in one
 real array, ``planes[..., 0]`` the real part and ``planes[..., 1]`` the
 imaginary part (the memory layout of a complex array), so the backward
@@ -44,13 +44,7 @@ def ifft2d_raw(a: np.ndarray) -> np.ndarray:
 def _complex(planes: np.ndarray) -> np.ndarray:
     """Complex view of a (..., 2) real/imaginary plane array."""
     planes = np.ascontiguousarray(planes)
-    return planes.view(np.result_type(planes.dtype, np.complex64))[..., 0]
-
-
-def _planes(z: np.ndarray) -> np.ndarray:
-    """Real (..., 2) view of a complex array."""
-    z = np.ascontiguousarray(z)
-    return z.view(z.real.dtype).reshape(z.shape + (2,))
+    return planes.view(np.complex128)[..., 0]
 
 
 # -- differentiable wrappers --------------------------------------------
@@ -114,7 +108,7 @@ def fft2d(x: Tensor) -> ComplexSpectrum:
     w = x.shape[-1]
     half = w // 2 + 1
     r = np.fft.rfft2(x.data)
-    planes = np.empty(x.shape + (2,), dtype=x.data.dtype)
+    planes = np.empty(x.shape + (2,))
     spec = _complex(planes)
     spec[..., :half] = r
     # F[k1, k2] = conj(F[-k1, w - k2]) for the columns rfft2 leaves out
@@ -123,23 +117,7 @@ def fft2d(x: Tensor) -> ComplexSpectrum:
     np.conjugate(tail[..., :0:-1, :], out=spec[..., 1:, half:])
 
     def vjp(g):
-        return (np.real(fft2d_raw(np.conj(_complex(g)))).astype(x.data.dtype),)
+        return (np.real(fft2d_raw(np.conj(_complex(g)))),)
 
     return ComplexSpectrum(Tensor._from_op(planes, (x,), vjp))
 
-
-def ifft2d(spec: ComplexSpectrum) -> ComplexSpectrum:
-    """Differentiable inverse 2-d DFT of a complex spectrum.
-
-    The map is complex-linear, so the cotangent planes pull back as the
-    forward transform of Gre + i*Gim divided by H*W.
-    """
-    p = spec.planes
-    if p.ndim < 3 or p.shape[-1] != 2:
-        raise DimensionError(f"spectrum planes need shape (..., H, W, 2), got {tuple(p.shape)}")
-    hw = p.shape[-2] * p.shape[-3]
-
-    def vjp(g):
-        return (_planes(fft2d_raw(_complex(g)) / hw),)
-
-    return ComplexSpectrum(Tensor._from_op(_planes(ifft2d_raw(_complex(p.data))), (p,), vjp))

@@ -20,7 +20,7 @@ exponential with large third derivatives, so h=1e-4 visibly bends)
 while float64 cancellation stays orders below the tolerance.
 
 Data is sampled away from the kinks of non-smooth ops (relu, abs,
-clamp, atan2's branch cut and origin) because central differences
+atan2's branch cut and origin) because central differences
 straddling a kink measure the secant, not either one-sided derivative.
 Routing is checked through its soft relaxation; the hard path replaces
 the forward value only, so its backward IS the relaxation's backward
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fft import fft2d, ifft2d
+from .fft import fft2d
 from .losses import (
     LossWeights,
     ThermalMask,
@@ -68,13 +68,10 @@ from .tensor import (
     Tensor,
     absolute,
     atan2,
-    clamp,
-    concat,
     conv2d,
     cos,
     exp,
     finite_diff_grad,
-    hypot,
     layer_norm,
     log,
     pixel_shuffle,
@@ -86,7 +83,6 @@ from .tensor import (
     softmax,
     softplus,
     sqrt,
-    take_tokens,
 )
 
 
@@ -223,16 +219,11 @@ def _mk_activations(rng, _i):
 
 
 def _mk_abs_clamp(rng, _i):
-    # kinks at 0 and at the clamp edges +/-0.8; sample magnitudes outside
-    # a guard band around both
-    low = rng.uniform(0.1, 0.7, (3, 4))
-    high = rng.uniform(0.9, 2.0, (3, 4))
-    mag = np.where(rng.uniform(size=(3, 4)) < 0.5, low, high)
-    x = Tensor(mag * rng.choice([-1.0, 1.0], (3, 4)), requires_grad=True)
-    w1, w2 = _w(rng, (3, 4)), _w(rng, (3, 4))
+    x = _leaf_off_zero(rng, (3, 4), margin=0.1)  # abs has its kink at 0
+    w = _w(rng, (3, 4))
 
     def forward():
-        return _wsum(absolute(x), w1) + _wsum(clamp(x, -0.8, 0.8), w2)
+        return _wsum(absolute(x), w)
 
     return forward, [x]
 
@@ -241,14 +232,13 @@ def _mk_trig(rng, _i):
     x = _leaf(rng, (3, 4))
     yy = _leaf_off_zero(rng, (3, 4), margin=0.3)  # stay off atan2's cut
     xx = _leaf_off_zero(rng, (3, 4), margin=0.3)
-    ws = [_w(rng, (3, 4)) for _ in range(4)]
+    ws = [_w(rng, (3, 4)) for _ in range(3)]
 
     def forward():
         return (
             _wsum(sin(x), ws[0])
             + _wsum(cos(x), ws[1])
             + _wsum(atan2(yy, xx), ws[2])
-            + _wsum(hypot(xx, yy), ws[3])
         )
 
     return forward, [x, yy, xx]
@@ -325,20 +315,13 @@ def _mk_separable_map(rng, _i):
 
 def _mk_gather_index(rng, _i):
     x = _leaf(rng, (2, 6, 3))
-    perm = np.stack([rng.permutation(6) for _ in range(2)])
-    w1 = _w(rng, (2, 6, 3))
-    w2 = _w(rng, (2, 4, 2))
-    w3 = _w(rng, (6, 18))
+    w1 = _w(rng, (2, 4, 2))
+    w2 = _w(rng, (2, 18))
 
     def forward():
-        gathered = take_tokens(x, perm)
         sliced = x[:, 1:5, :2]
-        stacked = concat([x, gathered, x.transpose((0, 2, 1)).transpose((0, 2, 1))], axis=0)
-        return (
-            _wsum(gathered, w1)
-            + _wsum(sliced, w2)
-            + _wsum(stacked.reshape(6, 18), w3)
-        )
+        swapped = x.transpose((0, 2, 1)).transpose((0, 2, 1))
+        return _wsum(sliced, w1) + _wsum(swapped.reshape(2, 18), w2)
 
     return forward, [x]
 
@@ -368,19 +351,6 @@ def _mk_fft_polar(rng, _i):
     def forward():
         s = fft2d(x)
         return _wsum(s.magnitude(), w1) + _wsum(s.phase(grad_eps=1e-6), w2)
-
-    return forward, [x]
-
-
-def _mk_ifft(rng, i):
-    hw = ((4, 4), (3, 5))[i % 2]
-    x = _leaf(rng, (1, 2) + hw)
-    w1 = _w(rng, (1, 2) + hw)
-    w2 = _w(rng, (1, 2) + hw)
-
-    def forward():
-        rec = ifft2d(fft2d(x))
-        return _wsum(rec.re, w1) + _wsum(rec.im, w2)
 
     return forward, [x]
 
@@ -590,7 +560,6 @@ _CHECKS = (
     ("gather-index-reshape", _mk_gather_index, _PRIMITIVE),
     ("fft-planes", _mk_fft_planes, _PRIMITIVE),
     ("fft-magnitude-phase", _mk_fft_polar, _PRIMITIVE),
-    ("ifft-roundtrip", _mk_ifft, _PRIMITIVE),
     ("resample", _mk_resample, _PRIMITIVE),
     ("gated-recurrence", _mk_recurrence, _PRIMITIVE),
     ("selective-scan", _mk_selective_scan, _PRIMITIVE),

@@ -136,9 +136,10 @@ def phase_loss(sr, hr, phase_eps: float = PHASE_EPS) -> Tensor:
     fs, fh = fft2d(sr), fft2d(hr)
     d = fs.phase(grad_eps=phase_eps) - fh.phase(grad_eps=phase_eps)
     wrapped = atan2(sin(d), cos(d))
-    keep = (
-        (fs.magnitude().data >= phase_eps) & (fh.magnitude().data >= phase_eps)
-    ).astype(sr.data.dtype)
+    ps, ph = fs.planes.data, fh.planes.data
+    keep = (np.hypot(ps[..., 0], ps[..., 1]) >= phase_eps) & (
+        np.hypot(ph[..., 0], ph[..., 1]) >= phase_eps
+    )
     count = max(float(keep.sum()), 1.0)
     return (absolute(wrapped) * Tensor(keep)).sum() * (1.0 / count)
 

@@ -28,7 +28,14 @@ chunk; m - 1 carry steps then add product * (last state of the previous
 chunk). That is about 2 sqrt(N) interpreter steps instead of N. The
 scan multiplies decays rather than summing their logs, so exact zeros
 in a (an underflowed zoh decay) stay exact and negative multipliers
-(``direct`` mode) need no separate path.
+(``direct`` mode) need no separate path. A decay product that overflows
+to a non-finite state although every decay and input is finite raises
+``NumericalConsistencyError`` rather than passing NaN on.
+
+The semantic token order lives inside the same node: it gathers x, a,
+b and c into scan order with the permutation, and the output and the
+four cotangents back with its inverse, so reordering records no tape
+nodes of its own.
 
 Causality of the bare recurrence is structural: y[t] never reads x[s]
 for s > t, hence dy[t]/dx[s] is exactly zero there. The only way later
@@ -47,8 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError
-from .tensor import Tensor, astensor, exp, matmul, neg, softplus, take_tokens
+from .errors import ConfigError, ContractError, DimensionError, NumericalConsistencyError
+from .tensor import Tensor, astensor, exp, matmul, neg, softplus
 
 
 def _linear_scan(a, u):
@@ -73,14 +80,30 @@ def _linear_scan(a, u):
             # overflowed to inf: inf * 0 would be nan
             np.copyto(prod[:, j], 0.0, where=carry == 0.0)
         h[:, j] += prod[:, j] * carry
-    return h.reshape(bsz, m * size, ch)[:, :n]
+    h = h.reshape(bsz, m * size, ch)[:, :n]
+    if not np.isfinite(h).all() and np.isfinite(a).all() and np.isfinite(u).all():
+        raise NumericalConsistencyError(
+            "scan states are not finite although the decays and inputs are: "
+            "a running product of decays overflowed"
+        )
+    return h
 
 
-def gated_recurrence(x, a, b, c, trace: dict | None = None) -> Tensor:
+def _gather(a, idx):
+    """out[b, t] = a[b, idx[b, t]]: a per-batch-row gather along axis 1."""
+    return a[np.arange(a.shape[0])[:, None], idx]
+
+
+def gated_recurrence(
+    x, a, b, c, trace: dict | None = None, order: SemanticOrder | None = None
+) -> Tensor:
     """The raw scan: all operands (B, N, C), returns y of the same shape.
 
-    Passing a dict as ``trace`` stores copies of the state trajectory
-    ``h`` and the gated output ``y`` for inspection.
+    With an ``order`` the recurrence visits the tokens in the order
+    ``order.perm``: the node gathers the operands into that order and the
+    output and every cotangent back, so y[:, t] belongs to input token t.
+    Passing a dict as ``trace`` stores copies of the scan-order state
+    trajectory ``h`` and gated output ``y`` for inspection.
     """
     x, a, b, c = astensor(x), astensor(a), astensor(b), astensor(c)
     if x.ndim != 3:
@@ -90,21 +113,36 @@ def gated_recurrence(x, a, b, c, trace: dict | None = None) -> Tensor:
             raise DimensionError(
                 f"scan operand {name} has shape {tuple(t.shape)}, input is {tuple(x.shape)}"
             )
+    if order is None:
+        xs, As, bs, cs = x.data, a.data, b.data, c.data
+    else:
+        if order.perm.shape != x.shape[:2] or order.inv_perm.shape != x.shape[:2]:
+            raise DimensionError(
+                f"permutation shape {order.perm.shape} does not match tokens {x.shape[:2]}"
+            )
+        xs, As, bs, cs = (_gather(t.data, order.perm) for t in (x, a, b, c))
 
-    h = _linear_scan(a.data, b.data * x.data)
-    y = c.data * h
+    h = _linear_scan(As, bs * xs)
+    y = cs * h
     if trace is not None:
         trace["h"] = h.copy()
         trace["y"] = y.copy()
 
     def vjp(g):
-        a_next = np.zeros_like(a.data)
-        a_next[:, :-1] = a.data[:, 1:]
-        lam = _linear_scan(a_next[:, ::-1], (g * c.data)[:, ::-1])[:, ::-1]
+        if order is not None:
+            g = _gather(g, order.perm)
+        a_next = np.zeros_like(As)
+        a_next[:, :-1] = As[:, 1:]
+        lam = _linear_scan(a_next[:, ::-1], (g * cs)[:, ::-1])[:, ::-1]
         da = np.zeros_like(lam)
         da[:, 1:] = lam[:, 1:] * h[:, :-1]
-        return (lam * b.data, da, lam * x.data, g * h)
+        grads = (lam * bs, da, lam * xs, g * h)
+        if order is None:
+            return grads
+        return tuple(_gather(t, order.inv_perm) for t in grads)
 
+    if order is not None:
+        y = _gather(y, order.inv_perm)
     return Tensor._from_op(y, (x, a, b, c), vjp)
 
 
@@ -225,9 +263,9 @@ def selective_scan(
 ) -> Tensor:
     """Run the recurrence along the semantic order with a prompted output gate.
 
-    The output gate is c_raw + p_fused per token. All per-token operands
-    are permuted into scan order internally; the result is scattered
-    back so output token t corresponds to input token t. A ``trace``
+    The output gate is c_raw + p_fused per token. The recurrence node
+    visits the tokens in scan order and returns them in input order, so
+    output token t corresponds to input token t. A ``trace``
     dict, when given, receives the scan-order gate ("c_s"), the state
     trajectory ("h"), the scan-order outputs ("y") and the restored
     outputs ("y_tokens").
@@ -245,22 +283,11 @@ def selective_scan(
                 f"scan operand {name} has shape {tuple(t.shape)}, input is {tuple(x.shape)}"
             )
     c_s = p.c_raw + p_fused
-    if order is None:
-        y = gated_recurrence(x, p.a_decay, p.b_in, c_s, trace=trace)
-        if trace is not None:
-            trace["c_s"] = c_s.data.copy()
-            trace["y_tokens"] = y.data.copy()
-        return y
-    xs = take_tokens(x, order.perm)
-    As = take_tokens(p.a_decay, order.perm)
-    bs = take_tokens(p.b_in, order.perm)
-    cs = take_tokens(c_s, order.perm)
-    y = gated_recurrence(xs, As, bs, cs, trace=trace)
-    out = take_tokens(y, order.inv_perm)
+    y = gated_recurrence(x, p.a_decay, p.b_in, c_s, trace=trace, order=order)
     if trace is not None:
-        trace["c_s"] = cs.data.copy()
-        trace["y_tokens"] = out.data.copy()
-    return out
+        trace["c_s"] = c_s.data.copy() if order is None else _gather(c_s.data, order.perm)
+        trace["y_tokens"] = y.data.copy()
+    return y
 
 
 # -- reach probe ----------------------------------------------------------

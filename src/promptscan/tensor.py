@@ -310,42 +310,22 @@ def silu(a) -> Tensor:
     return mul(a, sigmoid(a))
 
 
-def clamp(a, lo: float, hi: float) -> Tensor:
-    a = astensor(a)
-    out = np.clip(a.data, lo, hi)
-    inside = (a.data > lo) & (a.data < hi)
-    return Tensor._from_op(out, (a,), lambda g: (g * inside,))
-
-
-def atan2(y, x, grad_eps: float = 0.0) -> Tensor:
+def atan2(y, x) -> Tensor:
     """Four-quadrant arctangent in (-pi, pi].
 
-    The gradient at the origin (and, with ``grad_eps`` > 0, on near-zero
-    radii) is defined as 0: the angle is meaningless there.
+    The gradient at the origin is defined as 0: the angle is meaningless
+    there.
     """
     y, x = astensor(y), astensor(x)
     out = np.arctan2(y.data, x.data)
     r2 = y.data * y.data + x.data * x.data
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(r2 > grad_eps * grad_eps, 1.0 / r2, 0.0)
+        inv = np.where(r2 > 0.0, 1.0 / r2, 0.0)
     inv = np.where(np.isfinite(inv), inv, 0.0)
     return Tensor._from_op(
         out,
         (y, x),
         lambda g: (g * x.data * inv, -g * y.data * inv),
-    )
-
-
-def hypot(x, y) -> Tensor:
-    """sqrt(x^2 + y^2) with gradient 0 where the radius is exactly 0."""
-    x, y = astensor(x), astensor(y)
-    out = np.hypot(x.data, y.data)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(out > 0, 1.0 / out, 0.0)
-    return Tensor._from_op(
-        out,
-        (x, y),
-        lambda g: (g * x.data * inv, g * y.data * inv),
     )
 
 
@@ -407,19 +387,6 @@ def transpose(a, axes) -> Tensor:
     )
 
 
-def concat(tensors, axis: int) -> Tensor:
-    tensors = [astensor(t) for t in tensors]
-    axis = axis % tensors[0].ndim
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return Tensor._from_op(out, tensors, vjp)
-
-
 def index(a, key) -> Tensor:
     """Basic indexing (ints/slices); gradient scatters back into place."""
     a = astensor(a)
@@ -433,29 +400,6 @@ def index(a, key) -> Tensor:
         return (ga,)
 
     return Tensor._from_op(out.copy(), (a,), vjp)
-
-
-def take_tokens(a, perm) -> Tensor:
-    """Per-batch gather along the token axis: out[b, t] = a[b, perm[b, t]].
-
-    ``perm`` must be a permutation per batch row, so the backward pass is
-    the inverse scatter.
-    """
-    a = astensor(a)
-    perm = np.asarray(perm)
-    if perm.shape != a.shape[:2]:
-        raise DimensionError(
-            f"permutation shape {perm.shape} does not match tokens {a.shape[:2]}"
-        )
-    rows = np.arange(a.shape[0])[:, None]
-    out = a.data[rows, perm]
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        ga[rows, perm] = g
-        return (ga,)
-
-    return Tensor._from_op(out, (a,), vjp)
 
 
 # -- linear algebra --------------------------------------------------------
@@ -495,8 +439,13 @@ def softmax(a, axis: int = -1) -> Tensor:
     return Tensor._from_op(out, (a,), vjp)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize each token over the trailing channel axis, then affine."""
+def layer_norm(x, gamma, beta) -> Tensor:
+    """Normalize each token over the trailing channel axis (eps 1e-5), then affine.
+
+    One node. With xhat = (x - mean) * inv and d = g * gamma, the
+    adjoint is dx = inv * (d - mean(d) - xhat * mean(d * xhat)),
+    dgamma = sum(g * xhat) and dbeta = sum(g) over the leading axes.
+    """
     x, gamma, beta = astensor(x), astensor(gamma), astensor(beta)
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -504,13 +453,24 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
             f"layer_norm affine shapes {tuple(gamma.shape)}/{tuple(beta.shape)} "
             f"do not match channel count {c}"
         )
-    if eps <= 0:
-        raise ContractError("layer_norm eps must be positive")
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
-    return add(mul(mul(centered, inv), gamma), beta)
+    # in place: besides one square, forward allocates only what vjp keeps
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = ((xhat * xhat).mean(axis=-1, keepdims=True) + 1e-5) ** -0.5
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
+
+    def vjp(g):
+        d = g * gamma.data
+        dx = inv * (
+            d
+            - d.mean(axis=-1, keepdims=True)
+            - xhat * (d * xhat).mean(axis=-1, keepdims=True)
+        )
+        lead = tuple(range(x.ndim - 1))
+        return (dx, (g * xhat).sum(axis=lead), g.sum(axis=lead))
+
+    return Tensor._from_op(out, (x, gamma, beta), vjp)
 
 
 # -- convolution and sub-pixel ops ------------------------------------------

@@ -126,6 +126,23 @@ def test_block_residual_is_additive():
     assert np.any(out.data != x.data)
 
 
+def test_hard_route_module_records_one_node_per_norm_and_scan():
+    cfg = desk_config()
+    mp = build_model(cfg).blocks[0].modules[0]
+    x = Tensor(np.random.default_rng(3).standard_normal((2, 64, cfg.channels)), requires_grad=True)
+    out = asf_ssm_forward(x, mp, cfg, 8, 8, mode=ForwardMode(train=True, route="hard"))
+    seen = {id(out): out}
+    stack = [out]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    nodes = sum(t._vjp is not None for t in seen.values())
+    # 49 when layer_norm recorded 9 nodes and the scan order 5 gathers
+    assert nodes == 49 - 13
+
+
 def test_module_rejects_bad_token_shapes():
     cfg = desk_config(**TINY)
     mp = build_model(cfg).blocks[0].modules[0]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from promptscan.errors import ConfigError, ContractError, DimensionError
+from promptscan.errors import ConfigError, ContractError, DimensionError, NumericalConsistencyError
 from promptscan.scan import (
     SemanticOrder,
     SsmParams,
@@ -118,6 +118,20 @@ def test_zero_state_carries_no_overflowed_decay_product():
         np.testing.assert_array_equal(leaf.grad, ref)
 
 
+def test_overflowed_decay_product_raises_instead_of_nan():
+    # chunks of 3: the product 1e200 * 1e200 overflows to inf and the
+    # exact zero after it makes inf * 0 = nan, where the token loop gives
+    # [..., 2.5e-101, 2.5e99, 0, 0, 0, 0]
+    n = 9
+    a = np.full((1, n, 1), 0.5)
+    a[0, 3:6, 0] = [1e200, 1e200, 0.0]
+    x, b, c = np.zeros((1, n, 1)), np.ones((1, n, 1)), np.ones((1, n, 1))
+    x[0, 0] = 1e-300
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalConsistencyError, match="overflow"):
+            gated_recurrence(Tensor(x), Tensor(a), Tensor(b), Tensor(c))
+
+
 @pytest.mark.parametrize("t0", [1, 8, 27, 35, 49])
 def test_zero_decay_cuts_every_earlier_gradient(t0):
     # N = 50 runs in chunks of 8: t0 covers chunk starts, middles and the end
@@ -207,6 +221,40 @@ def test_ordered_scan_equals_oracle_on_permuted_sequence():
         )
         ref[bi, pm] = ys[0]
     assert np.max(np.abs(out - ref)) <= 1e-14
+
+
+def test_hard_order_scan_is_one_node_matching_gather_oracle():
+    rng = np.random.default_rng(4)
+    shape = (3, 10, 2)
+    x0, b0, c0, pf0, g = rng.standard_normal((5,) + shape)
+    a0 = rng.uniform(-0.95, 0.95, shape)
+    perm = np.stack([rng.permutation(10) for _ in range(3)])
+    inv = np.argsort(perm, axis=-1)
+    rows = np.arange(3)[:, None]
+    x, a, b, cr, pf = (Tensor(v, requires_grad=True) for v in (x0, a0, b0, c0, pf0))
+    p = SsmParams(delta=Tensor(np.ones(shape)), b_in=b, c_raw=cr, a_decay=a)
+    y = selective_scan(x, p, pf, order=SemanticOrder(perm=perm, inv_perm=inv))
+    assert len(y._parents) == 4
+    assert all(p is q for p, q in zip(y._parents[:3], (x, a, b)))
+    c_s = y._parents[3]
+    assert c_s._parents[0] is cr and c_s._parents[1] is pf
+    (y * Tensor(g)).sum().backward()
+
+    # oracle: gather with numpy, scan in order, scatter back with numpy
+    leaves = [Tensor(v[rows, perm], requires_grad=True) for v in (x0, a0, b0, c0 + pf0)]
+    ys = gated_recurrence(*leaves)
+    (ys * Tensor(g[rows, perm])).sum().backward()
+    assert y.data.tobytes() == ys.data[rows, inv].tobytes()
+    for got, leaf in zip((x, a, b, cr, pf), leaves + leaves[3:]):
+        assert got.grad.tobytes() == leaf.grad[rows, inv].tobytes()
+
+
+def test_ordered_scan_rejects_wrong_perm_shape():
+    good = Tensor(np.zeros((1, 4, 3)))
+    p = SsmParams(delta=good, b_in=good, c_raw=good, a_decay=good)
+    perm = np.zeros((1, 3), dtype=int)
+    with pytest.raises(DimensionError):
+        selective_scan(good, p, good, order=SemanticOrder(perm=perm, inv_perm=perm))
 
 
 def test_selective_scan_checks_operand_shapes():
