@@ -14,7 +14,9 @@ Layout (all integers little-endian):
 
 Loading rebuilds the model from the stored config (so derived state
 like router noise streams comes back from the same seed) and overwrites
-the freshly initialized tensors with the stored blobs. A save of the
+the freshly initialized tensors with the stored blobs. A blob holding a
+NaN or an infinity is rejected. The loaded parameters are not
+grad-tracked, so a forward on them records no tape. A save of the
 loaded model reproduces the original file byte for byte.
 
 A save writes a temporary file next to the target and renames it over
@@ -85,7 +87,17 @@ class _Reader:
 
 
 def load_checkpoint(path):
-    """Returns (ModelParams, ModelConfig) reconstructed from the file."""
+    """Returns (ModelParams, ModelConfig) reconstructed from the file.
+
+    The parameters come back with ``requires_grad=False``: evaluation,
+    inference and the erf probe read them but never need their
+    gradients, and a forward on untracked parameters keeps no tape.
+    Code that resumes training from a checkpoint sets ``requires_grad``
+    back to True on the tensors its optimizer updates.
+
+    Raises ParseError on a malformed file, including a blob with a NaN
+    or an infinity, naming the parameter and its byte offset.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     r = _Reader(buf, str(path))
@@ -121,8 +133,14 @@ def load_checkpoint(path):
                 f"{path}: parameter {name!r} has shape {tuple(shape)}, model wants {want}"
             )
         n = int(np.prod(shape)) if shape else 1
-        blob = r.take(8 * n)
-        named[name].data = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
+        at = r.off
+        values = np.frombuffer(r.take(8 * n), dtype="<f8")
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = at + 8 * int(np.argmin(finite))
+            raise ParseError(f"{path}: parameter {name!r} has a non-finite value at byte {bad}")
+        named[name].data = values.reshape(shape).copy()
+        named[name].requires_grad = False
     if r.off != len(buf):
         raise ParseError(f"{path}: {len(buf) - r.off} trailing bytes at byte {r.off}")
     return params, cfg

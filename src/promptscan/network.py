@@ -10,10 +10,12 @@ learn the residual. The deep path runs on intensities scaled to [0, 1]
 and its output is scaled back, which keeps activations, attention
 logits, and loss magnitudes in comparable ranges.
 
-Every learnable parameter is a Tensor with requires_grad=True, created
-from the config seed in a fixed order, so two builds from the same
-config are bit-identical. A module holds only the weights its config
-reads; this file is the one place that decides which those are.
+Every learnable parameter is a Tensor created from the config seed in a
+fixed order, so two builds from the same config are bit-identical. A
+module holds only the weights its config reads; this file is the one
+place that decides which those are. Built parameters are grad-tracked
+for training; parameters loaded from a checkpoint are not, so a forward
+on them records no tape.
 """
 
 from __future__ import annotations

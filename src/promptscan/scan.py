@@ -64,8 +64,8 @@ def _linear_scan(a, u):
     size = math.isqrt(max(n - 1, 0)) + 1
     m = -(-n // size)
     # padding with a = 1, u = 0 sits after the last token, so it changes nothing
-    prod = np.ones((bsz, m * size, ch), dtype=u.dtype)
-    h = np.zeros((bsz, m * size, ch), dtype=u.dtype)
+    prod = np.ones((bsz, m * size, ch))
+    h = np.zeros((bsz, m * size, ch))
     prod[:, :n] = a
     h[:, :n] = u
     prod = prod.reshape(bsz, m, size, ch)

@@ -559,8 +559,8 @@ def separable_map(x, rows, cols) -> Tensor:
     gradient path is through ``x``.
     """
     x = astensor(x)
-    rows = np.asarray(rows, dtype=x.data.dtype)
-    cols = np.asarray(cols, dtype=x.data.dtype)
+    rows = np.asarray(rows, dtype=np.float64)
+    cols = np.asarray(cols, dtype=np.float64)
     if rows.shape[1] != x.shape[-2] or cols.shape[1] != x.shape[-1]:
         raise DimensionError(
             f"separable_map weights {rows.shape}/{cols.shape} do not fit input {tuple(x.shape)}"

@@ -18,7 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError, ContractError, DimensionError, TrainingAborted
+from .errors import (
+    ConfigError,
+    ContractError,
+    DimensionError,
+    NumericalConsistencyError,
+    TrainingAborted,
+)
 from .checkpoint import save_checkpoint
 from .losses import build_feature_extractor, thermal_mask, total_loss
 from .metrics import BIN_LABELS, error_histogram, psnr, ssim
@@ -204,6 +210,8 @@ class EvalRow:
 def _eval_one(pair: ImagePair, params: ModelParams, cfg: ModelConfig) -> EvalRow:
     lr = Tensor(pair.lr[None])
     sr = model_forward(lr, params, cfg, ForwardMode(train=False, route="hard"))
+    if not np.isfinite(sr.data).all():
+        raise NumericalConsistencyError(f"image {pair.id}: the SR output is not finite")
     sr_img = np.clip(sr.data[0, 0], 0.0, 255.0)
     hr_img = pair.hr[0]
     p, m = psnr(sr_img, hr_img)

@@ -1,10 +1,21 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from promptscan import checkpoint
 from promptscan.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from promptscan.errors import ParseError
-from promptscan.network import build_model, desk_config, named_parameters
+from promptscan.network import (
+    ForwardMode,
+    build_model,
+    desk_config,
+    model_forward,
+    named_parameters,
+)
+from promptscan.tensor import Tensor
+from promptscan.training import erf_map
 
 TINY = dict(channels=4, blocks=1, modules_per_block=1, pool_size=2, scale=2)
 
@@ -136,9 +147,6 @@ def test_empty_file(tmp_path):
 
 
 def test_loaded_model_runs_forward(tmp_path):
-    from promptscan.network import ForwardMode, model_forward
-    from promptscan.tensor import Tensor
-
     params, cfg = _tiny_model(seed=7)
     path = tmp_path / "m.bin"
     save_checkpoint(path, params, cfg)
@@ -148,3 +156,69 @@ def test_loaded_model_runs_forward(tmp_path):
     a = model_forward(x, params, cfg, ForwardMode(train=False))
     b = model_forward(x, loaded, loaded_cfg, ForwardMode(train=False))
     np.testing.assert_array_equal(a.data, b.data)
+
+
+def test_non_finite_blob_is_a_parse_error_naming_the_parameter(tmp_path):
+    params, cfg = _tiny_model(seed=4)
+    # a value no other blob holds marks where final.b's values start
+    params.final_b.data = np.full(params.final_b.shape, 1234.5)
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, params, cfg)
+    raw = bytearray(path.read_bytes())
+    at = raw.index(struct.pack("<d", 1234.5))
+    raw[at : at + 8] = struct.pack("<d", float("nan"))
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParseError, match=rf"'final\.b'.*non-finite.*byte {at}\b"):
+        load_checkpoint(path)
+
+
+def _saved_and_loaded(tmp_path, cfg):
+    params = build_model(cfg)
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, params, cfg)
+    loaded, _ = load_checkpoint(path)
+    return params, loaded
+
+
+def test_loaded_parameters_are_not_tracked(tmp_path):
+    params, loaded = _saved_and_loaded(tmp_path, desk_config(seed=1, **TINY))
+    assert all(t.requires_grad for t in named_parameters(params).values())
+    assert not any(t.requires_grad for t in named_parameters(loaded).values())
+
+
+def test_eval_forward_on_loaded_parameters_records_no_tape(tmp_path):
+    cfg = desk_config(seed=2, **TINY)
+    params, loaded = _saved_and_loaded(tmp_path, cfg)
+    x = Tensor(np.random.default_rng(3).uniform(0, 255, (1, 1, 12, 12)))
+    mode = ForwardMode(train=False, route="hard")
+    tracked = model_forward(x, params, cfg, mode)
+    free = model_forward(x, loaded, cfg, mode)
+    assert tracked.requires_grad and tracked._parents
+    assert free.requires_grad is False and free._parents == ()
+    assert free.data.tobytes() == tracked.data.tobytes()
+
+
+def test_desk_forward_on_loaded_parameters_fits_without_a_tape(tmp_path):
+    # at 32^2 LR the tracked forward peaks near 65 MiB, the untracked one
+    # near 20 MiB
+    cfg = desk_config()
+    _, loaded = _saved_and_loaded(tmp_path, cfg)
+    x = Tensor(np.random.default_rng(0).uniform(0, 255, (1, 1, 32, 32)))
+    tracemalloc.start()
+    try:
+        out = model_forward(x, loaded, cfg, ForwardMode(train=False, route="hard"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 1, 32 * cfg.scale, 32 * cfg.scale)
+    assert peak < 32 * 2**20, peak / 2**20
+
+
+def test_erf_on_loaded_parameters_matches_and_fills_no_parameter_grad(tmp_path):
+    cfg = desk_config(seed=5, **TINY)
+    params, loaded = _saved_and_loaded(tmp_path, cfg)
+    img = np.random.default_rng(6).uniform(0, 255, (10, 10))
+    want = erf_map(params, cfg, img)
+    got = erf_map(loaded, cfg, img)
+    assert got.tobytes() == want.tobytes()
+    assert all(t.grad is None for t in named_parameters(loaded).values())

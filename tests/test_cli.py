@@ -95,6 +95,27 @@ def test_eval_missing_checkpoint_is_runtime_error(tmp_path, dataset):
     assert "error:" in err
 
 
+def test_eval_non_finite_output_is_runtime_error(tmp_path, dataset, monkeypatch):
+    from promptscan import training
+    from promptscan.checkpoint import save_checkpoint
+    from promptscan.network import build_model, desk_config
+    from promptscan.tensor import Tensor
+
+    cfg = desk_config(channels=4, blocks=1, modules_per_block=1, pool_size=2, scale=2)
+    ckpt = tmp_path / "m.bin"
+    save_checkpoint(ckpt, build_model(cfg), cfg)
+
+    def nan_forward(x, params, cfg, mode):
+        _, _, h, w = x.shape
+        return Tensor(np.full((1, 1, h * cfg.scale, w * cfg.scale), np.nan))
+
+    monkeypatch.setattr(training, "model_forward", nan_forward)
+    rc, stdout, err = _run(["eval", "--ckpt", str(ckpt), "--data", str(dataset)])
+    assert rc == 1
+    assert err.startswith("error:") and "image one" in err
+    assert stdout == ""
+
+
 def test_gradcheck_filtered():
     rc, stdout, _ = _run(["gradcheck", "--module", "softmax", "--instances", "2"])
     assert rc == 0
