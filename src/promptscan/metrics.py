@@ -34,12 +34,12 @@ def psnr(a: np.ndarray, b: np.ndarray) -> tuple:
     return 10.0 * math.log10(_PEAK * _PEAK / err), err
 
 
-def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+def _gaussian_taps(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+    """1-d Gaussian summing to one; the 2-d window is its outer product."""
     half = (size - 1) / 2.0
     x = np.arange(size) - half
     g = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    win = np.outer(g, g)
-    return win / win.sum()
+    return g / g.sum()
 
 
 def ssim(a: np.ndarray, b: np.ndarray, k1: float = 0.01, k2: float = 0.03) -> float:
@@ -53,11 +53,18 @@ def ssim(a: np.ndarray, b: np.ndarray, k1: float = 0.01, k2: float = 0.03) -> fl
     size = 11
     if a.shape[0] < size or a.shape[1] < size:
         raise ContractError(f"image {a.shape} smaller than the {size}x{size} window")
-    win = _gaussian_window(size, 1.5)
+    g = _gaussian_taps(size, 1.5)
+    h, w = a.shape[0] - size + 1, a.shape[1] - size + 1
 
     def filt(x):
-        v = np.lib.stride_tricks.sliding_window_view(x, (size, size))
-        return np.einsum("hwuv,uv->hw", v, win, optimize=True)
+        # the window is separable: shifted axpys down the rows, then across
+        down = g[0] * x[:h]
+        for i in range(1, size):
+            down += g[i] * x[i : i + h]
+        out = g[0] * down[:, :w]
+        for j in range(1, size):
+            out += g[j] * down[:, j : j + w]
+        return out
 
     mu_a, mu_b = filt(a), filt(b)
     var_a = filt(a * a) - mu_a * mu_a

@@ -125,8 +125,10 @@ def attention(q, k, v, scale: float) -> Tensor:
     """softmax(q @ k^T * scale) @ v as one node, in query-row blocks.
 
     Each block of query rows sees every key, so each row's softmax is
-    whole and no rescaling across blocks is needed; only one block of
-    scores exists at a time, so memory is linear in the token count.
+    whole and no rescaling across blocks is needed. Each pass allocates
+    its block buffers once (forward: the scores; backward: the
+    probabilities and their cotangent, in one array) and refills them
+    for every block, so memory is linear in the token count.
     Forward keeps the per-row log-sum-exp, and backward recomputes each
     block's probabilities from it (Rabe & Staats 2021; Dao et al. 2022).
     """
@@ -143,11 +145,13 @@ def attention(q, k, v, scale: float) -> Tensor:
         )
     rows = max(1, _ATTN_BLOCK_ELEMS // k.shape[1])
     blocks = [slice(lo, lo + rows) for lo in range(0, q.shape[1], rows)]
+    block_shape = (q.shape[0], min(rows, q.shape[1]), k.shape[1])
     kt = k.data.swapaxes(-1, -2)
 
-    def probs(blk, lse=None):
-        """Block of scores turned into exp(s - shift) in place."""
-        s = q.data[:, blk] @ kt
+    def probs(blk, buf, lse=None):
+        """Block of scores turned into exp(s - shift) in place, in ``buf``."""
+        q_blk = q.data[:, blk]
+        s = np.matmul(q_blk, kt, out=buf[:, : q_blk.shape[1]])
         s *= scale
         shift = s.max(axis=-1, keepdims=True) if lse is None else lse[:, blk]
         s -= shift
@@ -156,8 +160,9 @@ def attention(q, k, v, scale: float) -> Tensor:
 
     out = np.empty(q.shape[:2] + v.shape[2:])
     lse = np.empty(q.shape[:2] + (1,))
+    scores = np.empty(block_shape)
     for blk in blocks:
-        e, shift = probs(blk)
+        e, shift = probs(blk, scores)
         total = e.sum(axis=-1, keepdims=True)
         out[:, blk] = (e @ v.data) / total
         lse[:, blk] = shift + np.log(total)
@@ -168,10 +173,12 @@ def attention(q, k, v, scale: float) -> Tensor:
         gk = np.zeros_like(k.data)
         gv = np.zeros_like(v.data)
         vt = v.data.swapaxes(-1, -2)
+        pbuf, dbuf = np.empty((2,) + block_shape)
         for blk in blocks:
-            p, _ = probs(blk, lse)
-            gv += p.swapaxes(-1, -2) @ g[:, blk]
-            ds = g[:, blk] @ vt
+            p, _ = probs(blk, pbuf, lse)
+            g_blk = g[:, blk]
+            gv += p.swapaxes(-1, -2) @ g_blk
+            ds = np.matmul(g_blk, vt, out=dbuf[:, : g_blk.shape[1]])
             ds -= delta[:, blk]
             ds *= p
             ds *= scale

@@ -22,7 +22,7 @@ import functools
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-from .tensor import Tensor, separable_map
+from .tensor import Tensor, separable_map, separable_product
 
 # the classic Keys parameter; -0.5 reproduces quadratics
 _CUBIC_A = -0.5
@@ -97,8 +97,7 @@ def resample(x, out_h: int, out_w: int, kind: str = "cubic", antialias=None):
     cols = resample_matrix(w, out_w, kind, aa_w)
     if isinstance(x, Tensor):
         return separable_map(x, rows, cols)
-    tmp = np.einsum("oh,...hw->...ow", rows, data, optimize=True)
-    return np.einsum("pw,...ow->...op", cols, tmp, optimize=True)
+    return separable_product(data, rows, cols)
 
 
 _FACTORS = {0.25: None, 0.5: None, 2.0: None, 4.0: None}

@@ -476,19 +476,75 @@ def layer_norm(x, gamma, beta) -> Tensor:
 # -- convolution and sub-pixel ops ------------------------------------------
 
 
+# most output values per _tap_sum block (equal blocks of whole rows): the
+# partial sums of one block stay in cache while the kernel rows are added
+_TAP_BLOCK_ELEMS = 1 << 16
+
+
+def _tap_sum(frame, kern, pitch: int, rows: int):
+    """Sum over taps (u, v) of frame[n + u*pitch + v] @ kern[u, v], n < rows*kw.
+
+    ``frame`` is a channels-last (pixels, C) image, row-major with row
+    pitch ``pitch``; ``kern`` is (kh, kw*C, O) with the C weights of tap
+    (u, v) at rows v*C .. v*C+C-1 of ``kern[u]``. Returns (rows*kw, O).
+
+    No window is copied. For output pixels n = kw*m + r, the kw taps of
+    kernel row u read kw*C consecutive values from pixel n + u*pitch
+    on, and consecutive m are kw*C values apart, so those windows tile
+    a (rows, kw*C) reshape of the flat frame. Each (u, r) is one GEMM
+    over that view into residue r of the output; only the kh kernel
+    rows are summed outside BLAS, one block of output rows at a time.
+    """
+    kh, kwc, o = kern.shape
+    c = frame.shape[1]
+    kw = kwc // c
+    flat = frame.reshape(-1)
+    out = np.empty((rows, kw, o))
+    blocks = -(-rows * kw * o // _TAP_BLOCK_ELEMS)
+    step = -(-rows // blocks)
+    part = np.empty((step, kw, o))
+    for m0 in range(0, rows, step):
+        m = min(step, rows - m0)
+        acc, tmp = out[m0 : m0 + m], part[:m]
+        for u in range(kh):
+            dst = acc if u == 0 else tmp
+            for r in range(kw):
+                lo = (kw * m0 + u * pitch + r) * c
+                win = flat[lo : lo + m * kwc].reshape(m, kwc)
+                np.matmul(win, kern[u], out=dst[:, r])
+            if u:
+                acc += tmp
+    return out.reshape(rows * kw, o)
+
+
 def conv2d(x, k, pad: int) -> Tensor:
     """Cross-correlation of NCHW input with OIHW kernel, zero padding.
 
     Odd kernels only; ``pad=(kh-1)//2`` keeps the spatial size. ``pad``
-    may not exceed either kernel extent minus one, so the input gradient
-    is one correlation of the cotangent padded by ``k-1-pad``.
+    may not exceed either kernel extent minus one, so each image's
+    outputs fit inside its block of the frame below.
+
+    The input is laid out once as a channels-last frame: the batch is
+    folded into one flat pixel axis, and each image sits in an
+    (H+pad) x (W+pad) block behind ``pad`` zero rows and columns.
+    Those zeros are also the bottom and right padding of the block
+    before, because a tap that runs past a row's end reads the next
+    row's leading zeros. Every tap is then a shift of the frame, so the
+    forward is a sum of GEMMs over views (:func:`_tap_sum`) and no
+    window matrix is built (the "implicit GEMM" of Chetlur et al.
+    2014); outputs that straddle a block edge land outside the crop.
+    The kernel gradient is one GEMM per tap between the same frame and
+    the cotangent frame. The input gradient is the same tap sum over
+    the cotangent frame, shifted by the furthest tap offset, with the
+    flipped, transposed kernel. Gradients are formed only for tracked
+    operands.
     """
     x, k = astensor(x), astensor(k)
     if x.ndim != 4 or k.ndim != 4:
         raise DimensionError(
             f"conv2d expects 4-d input and kernel, got {tuple(x.shape)} and {tuple(k.shape)}"
         )
-    cin = x.shape[1]
+    b, cin, h, w = x.shape
     cout, kin, kh, kw = k.shape
     if kin != cin:
         raise DimensionError(
@@ -501,17 +557,34 @@ def conv2d(x, k, pad: int) -> Tensor:
     if pad > min(kh, kw) - 1:
         raise ContractError(f"conv2d pad {pad} exceeds kernel extent - 1 for {kh}x{kw}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    out = np.einsum("bchwuv,ocuv->bohw", win, k.data, optimize=True)
+    bh, pitch = h + pad, w + pad
+    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    n = b * bh * pitch
+    rows = -(-n // kw)
+    reach = (kh - 1) * pitch + kw - 1
+    frame = np.zeros((reach + rows * kw, cin))
+    frame[:n].reshape(b, bh, pitch, cin)[:, pad:, pad:] = x.data.transpose(0, 2, 3, 1)
+    kern = k.data.transpose(2, 3, 1, 0).reshape(kh, kw * cin, cout)
+    full = _tap_sum(frame, kern, pitch, rows)[:n].reshape(b, bh, pitch, cout)
+    out = full[:, :ho, :wo].transpose(0, 3, 1, 2)
 
     def vjp(g):
-        gk = np.einsum("bchwuv,bohw->ocuv", win, g, optimize=True)
-        ph, pw = kh - 1 - pad, kw - 1 - pad
-        gp = np.pad(g, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        gwin = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(2, 3))
-        kflip = k.data[:, :, ::-1, ::-1]
-        gx = np.einsum("bohwuv,ocuv->bchw", gwin, kflip, optimize=True)
+        gframe = np.zeros((reach + rows * kw, cout))
+        gout = gframe[reach : reach + n]
+        gout.reshape(b, bh, pitch, cout)[:, :ho, :wo] = g.transpose(0, 2, 3, 1)
+        gx = gk = None
+        if k.requires_grad:
+            taps = np.empty((kh, kw, cin, cout))
+            for u in range(kh):
+                for v in range(kw):
+                    lo = u * pitch + v
+                    np.matmul(frame[lo : lo + n].T, gout, out=taps[u, v])
+            gk = taps.transpose(3, 2, 0, 1)
+        if x.requires_grad:
+            flipped = k.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
+            gfull = _tap_sum(gframe, flipped.reshape(kh, kw * cout, cin), pitch, rows)
+            gx = gfull[:n].reshape(b, bh, pitch, cin)[:, pad:, pad:]
+            gx = gx.transpose(0, 3, 1, 2)
         return (gx, gk)
 
     return Tensor._from_op(out, (x, k), vjp)
@@ -551,6 +624,12 @@ def pixel_shuffle(x, r: int) -> Tensor:
     )
 
 
+def separable_product(data: np.ndarray, rows, cols) -> np.ndarray:
+    """``rows @ data @ cols.T`` for every leading slice of a plain array."""
+    tmp = np.einsum("oh,...hw->...ow", rows, data, optimize=True)
+    return np.einsum("pw,...ow->...op", cols, tmp, optimize=True)
+
+
 def separable_map(x, rows, cols) -> Tensor:
     """Apply fixed row/column weight matrices over the trailing two axes.
 
@@ -565,8 +644,7 @@ def separable_map(x, rows, cols) -> Tensor:
         raise DimensionError(
             f"separable_map weights {rows.shape}/{cols.shape} do not fit input {tuple(x.shape)}"
         )
-    tmp = np.einsum("oh,...hw->...ow", rows, x.data, optimize=True)
-    out = np.einsum("pw,...ow->...op", cols, tmp, optimize=True)
+    out = separable_product(x.data, rows, cols)
 
     def vjp(g):
         # dx[..., h, w] = sum_{o,p} rows[o, h] * cols[p, w] * g[..., o, p]

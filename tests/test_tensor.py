@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,67 @@ def test_conv2d_input_gradient_scatters_each_output(kh, kw, pad):
         for j in range(out.shape[3]):
             ref[:, :, i : i + kh, j : j + kw] += np.einsum("bo,ocuv->bcuv", g[:, :, i, j], k)
     np.testing.assert_allclose(x.grad, ref[:, :, pad : pad + 5, pad : pad + 6], atol=1e-12)
+
+
+def _conv2d_loops(x, k, pad, g):
+    """Output, input gradient and kernel gradient of sum(conv2d(x, k) * g), tap by tap."""
+    _, _, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho, wo = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    out = np.zeros((x.shape[0], k.shape[0], ho, wo))
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(k)
+    for i in range(ho):
+        for j in range(wo):
+            for u in range(kh):
+                for v in range(kw):
+                    out[:, :, i, j] += xp[:, :, i + u, j + v] @ k[:, :, u, v].T
+                    gxp[:, :, i + u, j + v] += g[:, :, i, j] @ k[:, :, u, v]
+                    gk[:, :, u, v] += g[:, :, i, j].T @ xp[:, :, i + u, j + v]
+    return out, gxp[:, :, pad : pad + x.shape[2], pad : pad + x.shape[3]], gk
+
+
+_CONV_LOOP_CASES = [
+    (b, cin, cout, h, w, kh, kw, pad)
+    for b, cin, cout, h, w, kh, kw in [
+        (3, 2, 4, 5, 6, 3, 3),
+        (1, 1, 3, 6, 5, 5, 3),
+        (3, 1, 1, 5, 7, 3, 5),
+        (2, 3, 1, 4, 7, 1, 1),
+        # wide enough that the forward (cout) and the input gradient (cin)
+        # each run over several blocks of output rows
+        (1, 1, 512, 12, 12, 3, 3),
+        (1, 512, 1, 12, 12, 3, 3),
+    ]
+    for pad in range(min(kh, kw))
+]
+
+
+@pytest.mark.parametrize("b,cin,cout,h,w,kh,kw,pad", _CONV_LOOP_CASES)
+def test_conv2d_output_and_both_gradients_match_tap_loops(b, cin, cout, h, w, kh, kw, pad):
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.standard_normal((b, cin, h, w)), requires_grad=True)
+    k = Tensor(rng.standard_normal((cout, cin, kh, kw)), requires_grad=True)
+    out = conv2d(x, k, pad=pad)
+    g = rng.standard_normal(out.shape)
+    (out * Tensor(g)).sum().backward()
+    want = _conv2d_loops(x.data, k.data, pad, g)
+    for got, ref in zip((out.data, x.grad, k.grad), want):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_conv2d_forward_builds_no_window_copy():
+    # input and frame are 4 MiB each; a 3x3 window copy of the input would be 36 MiB
+    x = Tensor(np.random.default_rng(0).standard_normal((1, 32, 128, 128)))
+    k = Tensor(np.random.default_rng(1).standard_normal((1, 32, 3, 3)))
+    tracemalloc.start()
+    try:
+        conv2d(x, k, pad=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"forward peak {peak / 2**20:.1f} MiB"
 
 
 def test_pixel_shuffle_layout_oracle():
