@@ -121,6 +121,18 @@ def gather_spatial_prompt(route: Tensor, pool: PromptPool) -> Tensor:
     return matmul(route, pool.pool)
 
 
+def _augment(x: np.ndarray, col) -> np.ndarray:
+    """``x`` with ``col`` appended as one more entry of the last axis.
+
+    A GEMM against an operand whose extra column is all ones then adds
+    ``col`` to every entry of its row, for free inside BLAS.
+    """
+    aug = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    aug[..., :-1] = x
+    aug[..., -1:] = col
+    return aug
+
+
 def attention(q, k, v, scale: float) -> Tensor:
     """softmax(q @ k^T * scale) @ v as one node, in query-row blocks.
 
@@ -128,9 +140,24 @@ def attention(q, k, v, scale: float) -> Tensor:
     whole and no rescaling across blocks is needed. Each pass allocates
     its block buffers once (forward: the scores; backward: the
     probabilities and their cotangent, in one array) and refills them
-    for every block, so memory is linear in the token count.
-    Forward keeps the per-row log-sum-exp, and backward recomputes each
-    block's probabilities from it (Rabe & Staats 2021; Dao et al. 2022).
+    for every block, so memory is linear in the token count; a block
+    holds at most ``_ATTN_BLOCK_ELEMS`` scores over the whole batch.
+
+    No pass touches an N-by-N block more than BLAS and one ``exp`` need
+    to. Row i is shifted by the Cauchy-Schwarz bound
+    m_i = |scale| * |q_i| * max_j |k_j|, which no score in the row
+    exceeds, so the row max is never taken and ``exp`` cannot overflow.
+    The scale and the shift ride in the score GEMM through one extra
+    contraction column, [scale * q, -m] @ [k^T; 1] = s - m. Row totals
+    are a GEMV against ones. Forward keeps the per-row log-sum-exp, and
+    backward recomputes each block's probabilities from it with the same
+    augmented GEMM, and gets dp - delta as [g, -delta] @ [v^T; 1]
+    (Rabe & Staats 2021; Dao et al. 2022). ``scale`` is applied once to
+    the (N, C) gradients of q and k.
+
+    A row whose total underflows (below 1e-200: the bound overshoots its
+    true max by about 460 or more, which needs extreme logits) is
+    recomputed in place with its exact max.
     """
     q, k, v = astensor(q), astensor(k), astensor(v)
     if not (
@@ -143,47 +170,63 @@ def attention(q, k, v, scale: float) -> Tensor:
             f"attention operands do not fit: q {tuple(q.shape)}, "
             f"k {tuple(k.shape)}, v {tuple(v.shape)}"
         )
-    rows = max(1, _ATTN_BLOCK_ELEMS // k.shape[1])
+    bsz, nk = k.shape[:2]
+    rows = max(1, _ATTN_BLOCK_ELEMS // (bsz * nk))
     blocks = [slice(lo, lo + rows) for lo in range(0, q.shape[1], rows)]
-    block_shape = (q.shape[0], min(rows, q.shape[1]), k.shape[1])
-    kt = k.data.swapaxes(-1, -2)
+    block_shape = (bsz, min(rows, q.shape[1]), nk)
 
-    def probs(blk, buf, lse=None):
-        """Block of scores turned into exp(s - shift) in place, in ``buf``."""
-        q_blk = q.data[:, blk]
-        s = np.matmul(q_blk, kt, out=buf[:, : q_blk.shape[1]])
-        s *= scale
-        shift = s.max(axis=-1, keepdims=True) if lse is None else lse[:, blk]
-        s -= shift
-        np.exp(s, out=s)
-        return s, shift
+    def probs(blk, buf, qa, kat):
+        """exp of the augmented score GEMM for one block, in ``buf``."""
+        qa_blk = qa[:, blk]
+        e = np.matmul(qa_blk, kat, out=buf[:, : qa_blk.shape[1]])
+        np.exp(e, out=e)
+        return e
 
+    qn = np.linalg.norm(q.data, axis=-1, keepdims=True)
+    kn = np.linalg.norm(k.data, axis=-1).max(axis=1)
+    shift = abs(scale) * qn * kn[:, None, None]
+    qa = _augment(q.data * scale, -shift)
+    kat = _augment(k.data, 1.0).swapaxes(-1, -2)
+    ones = np.ones(nk)
     out = np.empty(q.shape[:2] + v.shape[2:])
     lse = np.empty(q.shape[:2] + (1,))
     scores = np.empty(block_shape)
     for blk in blocks:
-        e, shift = probs(blk, scores)
-        total = e.sum(axis=-1, keepdims=True)
-        out[:, blk] = (e @ v.data) / total
-        lse[:, blk] = shift + np.log(total)
+        e = probs(blk, scores, qa, kat)
+        total = e @ ones
+        # "not >=" also takes a NaN total: the bound is inf * 0 when one
+        # norm overflows and the other is zero
+        for b, i in zip(*np.nonzero(~(total >= 1e-200))):
+            row = np.matmul(k.data[b], qa[b, blk.start + i, :-1], out=e[b, i])
+            top = row.max()
+            row -= top
+            np.exp(row, out=row)
+            shift[b, blk.start + i] = top
+            total[b, i] = row @ ones
+        o = np.matmul(e, v.data, out=out[:, blk])
+        o /= total[..., None]
+        lse[:, blk] = shift[:, blk] + np.log(total)[..., None]
 
     def vjp(g):
         delta = (g * out).sum(axis=-1, keepdims=True)
         gq = np.empty_like(q.data)
         gk = np.zeros_like(k.data)
         gv = np.zeros_like(v.data)
-        vt = v.data.swapaxes(-1, -2)
+        qa = _augment(q.data * scale, -lse)
+        kat = _augment(k.data, 1.0).swapaxes(-1, -2)
+        ga = _augment(g, -delta)
+        vat = _augment(v.data, 1.0).swapaxes(-1, -2)
         pbuf, dbuf = np.empty((2,) + block_shape)
         for blk in blocks:
-            p, _ = probs(blk, pbuf, lse)
-            g_blk = g[:, blk]
-            gv += p.swapaxes(-1, -2) @ g_blk
-            ds = np.matmul(g_blk, vt, out=dbuf[:, : g_blk.shape[1]])
-            ds -= delta[:, blk]
+            p = probs(blk, pbuf, qa, kat)
+            ga_blk = ga[:, blk]
+            gv += p.swapaxes(-1, -2) @ g[:, blk]
+            ds = np.matmul(ga_blk, vat, out=dbuf[:, : ga_blk.shape[1]])
             ds *= p
-            ds *= scale
             gq[:, blk] = ds @ k.data
             gk += ds.swapaxes(-1, -2) @ q.data[:, blk]
+        gq *= scale
+        gk *= scale
         return gq, gk, gv
 
     return Tensor._from_op(out, (q, k, v), vjp)
@@ -207,6 +250,16 @@ def global_prompt(
     grid size.
     """
     x = astensor(x)
+    q, k, v = _spectral_qkv(x, h, w, params, features)
+    return attention(q, k, v, 1.0 / np.sqrt(x.shape[-1]))
+
+
+def _spectral_qkv(x: Tensor, h: int, w: int, params: GlobalPromptParams, features: str):
+    """Q, K and V projections of the spectral features of ``x``.
+
+    A function of its own so that the spectrum and the features, when
+    no tape holds them, are freed before attention runs.
+    """
     bsz, n, c = x.shape
     if h * w != n:
         raise DimensionError(f"token count {n} does not factor as {h}x{w}")
@@ -230,10 +283,7 @@ def global_prompt(
             raise DimensionError(
                 f"{name} has shape {tuple(m.shape)}, expected ({fdim}, {c})"
             )
-    q = matmul(feats, params.wq)
-    k = matmul(feats, params.wk)
-    v = matmul(feats, params.wv)
-    return attention(q, k, v, 1.0 / np.sqrt(c))
+    return matmul(feats, params.wq), matmul(feats, params.wk), matmul(feats, params.wv)
 
 
 def fuse_prompts(p_spatial: Tensor, p_global: Tensor) -> Tensor:

@@ -172,29 +172,126 @@ def test_global_prompt_reim_features_keep_the_concat_layout(monkeypatch):
         np.testing.assert_array_equal(feats, old)
 
 
+def _attention_chain(qkv, w, f, scale):
+    """Output and the three gradients of ``sum(f(q, k, v, scale) * w)``."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in qkv]
+    out = f(*leaves, scale)
+    (out * Tensor(w)).sum().backward()
+    return [out.data] + [t.grad for t in leaves]
+
+
+def _composite_attention(q, k, v, scale):
+    return matmul(softmax(matmul(q, transpose(k, (0, 2, 1))) * scale), v)
+
+
 @pytest.mark.parametrize("rows", [5, 1, 64], ids=["ragged", "single-row", "one-block"])
 def test_attention_matches_composite_chain(monkeypatch, rows):
     """The blocked node against matmul/softmax/matmul through the engine."""
     bsz, n, d = 2, 37, 3
-    monkeypatch.setattr(prompts, "_ATTN_BLOCK_ELEMS", rows * n)
+    monkeypatch.setattr(prompts, "_ATTN_BLOCK_ELEMS", rows * n * bsz)
     rng = np.random.default_rng(6)
     qkv = [rng.standard_normal((bsz, n, d)) for _ in range(3)]
-    w = Tensor(rng.standard_normal((bsz, n, d)))
+    w = rng.standard_normal((bsz, n, d))
     scale = 1.0 / np.sqrt(d)
-
-    def run(f):
-        leaves = [Tensor(a.copy(), requires_grad=True) for a in qkv]
-        out = f(*leaves)
-        (out * w).sum().backward()
-        return [out.data] + [t.grad for t in leaves]
-
-    blocked = run(lambda q, k, v: attention(q, k, v, scale))
-    chain = run(
-        lambda q, k, v: matmul(softmax(matmul(q, transpose(k, (0, 2, 1))) * scale), v)
-    )
+    blocked = _attention_chain(qkv, w, attention, scale)
+    chain = _attention_chain(qkv, w, _composite_attention, scale)
     for got, want in zip(blocked, chain):
         # relative to the array's scale: single entries can cancel to ~0
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_attention_recomputes_rows_whose_bound_shift_underflows():
+    """Logits up to about +-2000: rows with q orthogonal to the longest keys
+    have a norm bound far above their true max, so exp(s - bound) would
+    underflow to 0 on the whole row without the exact-max fallback."""
+    rng = np.random.default_rng(8)
+    bsz, n, d = 2, 48, 4
+    k = rng.standard_normal((bsz, n, d))
+    k[..., 0] = rng.uniform(-2000.0, 2000.0, (bsz, n))
+    q = rng.standard_normal((bsz, n, d)) * 0.01
+    q[..., 0] = rng.uniform(-2.0, 2.0, (bsz, n))
+    q[:, ::3, 0] = 0.0
+    q[:, ::3, 1:] = rng.standard_normal((bsz, (n + 2) // 3, d - 1))
+    v = rng.standard_normal((bsz, n, d))
+    scale = 1.0 / np.sqrt(d)
+
+    logits = scale * q @ k.swapaxes(-1, -2)
+    bound = scale * np.linalg.norm(q, axis=-1) * np.linalg.norm(k, axis=-1).max(axis=1)[:, None]
+    overshoot = bound - logits.max(axis=-1)
+    assert np.abs(logits).max() > 1500.0
+    assert (overshoot > 700.0).sum() >= 10
+    assert (overshoot < 1.0).sum() >= 10
+
+    w = rng.standard_normal((bsz, n, d))
+    blocked = _attention_chain((q, k, v), w, attention, scale)
+    chain = _attention_chain((q, k, v), w, _composite_attention, scale)
+    for got, want in zip(blocked, chain):
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_attention_score_block_counts_the_batch():
+    """(4, 1024, 32): one block holds at most 2**18 scores over all four
+    images (2 MiB), not 2**18 per image."""
+    rng = np.random.default_rng(9)
+    bsz, n, c = 4, 1024, 32
+    q, k, v = (Tensor(rng.standard_normal((bsz, n, c))) for _ in range(3))
+    tracemalloc.start()
+    try:
+        out = attention(q, k, v, 1.0 / np.sqrt(c))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = out.data.nbytes + bsz * n * 8  # out and the per-row log-sum-exp
+    augmented = 2 * bsz * n * (c + 1) * 8  # [scale * q, -m] and [k, 1]
+    scores = prompts._ATTN_BLOCK_ELEMS * 8
+    # slack: row norms, shifts, block totals and numpy's ufunc buffers
+    assert peak - kept <= scores + augmented + 2**19, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_attention_node_keeps_only_its_output_and_log_sum_exp():
+    """After a tracked forward the augmented operands are gone: they
+    would add about 2 * N * C * 8 bytes (1 MiB here) to what stays live."""
+    rng = np.random.default_rng(10)
+    n, c = 2048, 32
+    leaves = [Tensor(rng.standard_normal((1, n, c)), requires_grad=True) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = attention(*leaves, 1.0 / np.sqrt(c))
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert grown <= out.data.nbytes + n * 8 + 2**16, f"grew {grown / 2**10:.0f} KiB"
+
+
+def test_untracked_global_prompt_frees_the_spectrum_before_attention(monkeypatch):
+    """(1, 4096, 32): only q, k and v (3 MiB) are live when attention
+    starts; the spectrum planes and features (4 MiB) are already freed."""
+    rng = np.random.default_rng(11)
+    c, h, w = 32, 64, 64
+    n = h * w
+    x = Tensor(rng.standard_normal((1, n, c)))
+    params = GlobalPromptParams(
+        *(Tensor(rng.standard_normal((2 * c, c)) * 0.1) for _ in range(3))
+    )
+    live = []
+
+    def spy(*args):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return attention(*args)
+
+    monkeypatch.setattr(prompts, "attention", spy)
+    tracemalloc.start()
+    try:
+        global_prompt(x, h, w, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    qkv = 3 * n * c * 8
+    assert live[0] <= qkv + 2**18, f"live at attention {live[0] / 2**20:.2f} MiB"
+    assert peak <= 9 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_attention_rejects_mismatched_operands():
