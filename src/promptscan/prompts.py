@@ -25,8 +25,11 @@ from .tensor import (
     transpose,
 )
 
-# score elements per attention row block: 2**18 float64 values, 2 MiB
-_ATTN_BLOCK_ELEMS = 1 << 18
+# keys per attention tile, and score elements per (query block x key
+# tile) over the whole batch: 2**16 float64 values, 512 KiB, so that a
+# tile's scores, keys and values stay in a 2 MiB L2 through all passes
+_ATTN_KEY_TILE = 256
+_ATTN_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass
@@ -133,31 +136,47 @@ def _augment(x: np.ndarray, col) -> np.ndarray:
     return aug
 
 
+def _augment_t(x: np.ndarray) -> np.ndarray:
+    """``[x, 1]`` transposed, as a contiguous (..., C + 1, N) array, so
+    that a key tile is a column range whose rows BLAS reads in order."""
+    aug = np.empty(x.shape[:-2] + (x.shape[-1] + 1, x.shape[-2]))
+    aug[..., :-1, :] = x.swapaxes(-1, -2)
+    aug[..., -1, :] = 1.0
+    return aug
+
+
 def attention(q, k, v, scale: float) -> Tensor:
-    """softmax(q @ k^T * scale) @ v as one node, in query-row blocks.
+    """softmax(q @ k^T * scale) @ v as one node, tiled over queries and keys.
 
-    Each block of query rows sees every key, so each row's softmax is
-    whole and no rescaling across blocks is needed. Each pass allocates
-    its block buffers once (forward: the scores; backward: the
-    probabilities and their cotangent, in one array) and refills them
-    for every block, so memory is linear in the token count; a block
-    holds at most ``_ATTN_BLOCK_ELEMS`` scores over the whole batch.
+    Both passes walk blocks of query rows and, inside each block, tiles
+    of ``_ATTN_KEY_TILE`` keys. A block holds at most
+    ``_ATTN_BLOCK_ELEMS`` scores over the whole batch, so one step's
+    scores, key tile and value tile stay in cache through its score
+    GEMM, ``exp`` and value GEMM at any token count. Each pass allocates
+    its tile buffers once (forward: the scores; backward: the
+    probabilities and their cotangent, in one array) and refills them,
+    so memory is linear in the token count.
 
-    No pass touches an N-by-N block more than BLAS and one ``exp`` need
-    to. Row i is shifted by the Cauchy-Schwarz bound
+    Row i is shifted by the Cauchy-Schwarz bound
     m_i = |scale| * |q_i| * max_j |k_j|, which no score in the row
-    exceeds, so the row max is never taken and ``exp`` cannot overflow.
-    The scale and the shift ride in the score GEMM through one extra
-    contraction column, [scale * q, -m] @ [k^T; 1] = s - m. Row totals
-    are a GEMV against ones. Forward keeps the per-row log-sum-exp, and
-    backward recomputes each block's probabilities from it with the same
-    augmented GEMM, and gets dp - delta as [g, -delta] @ [v^T; 1]
-    (Rabe & Staats 2021; Dao et al. 2022). ``scale`` is applied once to
-    the (N, C) gradients of q and k.
+    exceeds, so ``exp`` cannot overflow and the row max is never taken.
+    The shift is fixed before any score is computed, so every key tile
+    of a row is exponentiated against the same m_i: the tiles' partial
+    exp-sums and value products simply add, with none of the online
+    rescaling a running max would need. The scale and the shift ride in
+    the score GEMM through one extra contraction column,
+    [scale * q, -m] @ [k^T; 1] = s - m, and row totals are a GEMV
+    against ones. Forward keeps the per-row log-sum-exp; backward
+    recomputes each tile's probabilities from it with the same GEMM and
+    gets dp - delta as [g, -delta] @ [v^T; 1] (Rabe & Staats 2021;
+    Dao et al. 2022). ``scale`` is applied once to the (N, C) gradients
+    of q and k.
 
     A row whose total underflows (below 1e-200: the bound overshoots its
     true max by about 460 or more, which needs extreme logits) is
-    recomputed in place with its exact max.
+    recomputed with its exact max over all keys, and its total and
+    output replace the tile sums. Backward needs no such case: it
+    shifts by the exact log-sum-exp.
     """
     q, k, v = astensor(q), astensor(k), astensor(v)
     if not (
@@ -171,14 +190,17 @@ def attention(q, k, v, scale: float) -> Tensor:
             f"k {tuple(k.shape)}, v {tuple(v.shape)}"
         )
     bsz, nk = k.shape[:2]
-    rows = max(1, _ATTN_BLOCK_ELEMS // (bsz * nk))
+    tk = min(nk, _ATTN_KEY_TILE)
+    rows = max(1, _ATTN_BLOCK_ELEMS // (bsz * tk))
     blocks = [slice(lo, lo + rows) for lo in range(0, q.shape[1], rows)]
-    block_shape = (bsz, min(rows, q.shape[1]), nk)
+    tiles = [slice(lo, lo + tk) for lo in range(0, nk, tk)]
+    tile_shape = (bsz, min(rows, q.shape[1]), tk)
+    ones = np.ones(tk)
 
-    def probs(blk, buf, qa, kat):
-        """exp of the augmented score GEMM for one block, in ``buf``."""
-        qa_blk = qa[:, blk]
-        e = np.matmul(qa_blk, kat, out=buf[:, : qa_blk.shape[1]])
+    def probs(blk, tile, buf, qa, kat):
+        """exp of the augmented score GEMM for one block and key tile, in ``buf``."""
+        qa_blk, kat_tile = qa[:, blk], kat[..., tile]
+        e = np.matmul(qa_blk, kat_tile, out=buf[:, : qa_blk.shape[1], : kat_tile.shape[-1]])
         np.exp(e, out=e)
         return e
 
@@ -186,45 +208,53 @@ def attention(q, k, v, scale: float) -> Tensor:
     kn = np.linalg.norm(k.data, axis=-1).max(axis=1)
     shift = abs(scale) * qn * kn[:, None, None]
     qa = _augment(q.data * scale, -shift)
-    kat = _augment(k.data, 1.0).swapaxes(-1, -2)
-    ones = np.ones(nk)
+    kat = _augment_t(k.data)
     out = np.empty(q.shape[:2] + v.shape[2:])
     lse = np.empty(q.shape[:2] + (1,))
-    scores = np.empty(block_shape)
+    scores = np.empty(tile_shape)
+    part = np.empty(tile_shape[:2] + v.shape[2:])
     for blk in blocks:
-        e = probs(blk, scores, qa, kat)
-        total = e @ ones
+        o = out[:, blk]
+        for tile in tiles:
+            e = probs(blk, tile, scores, qa, kat)
+            if tile.start == 0:
+                total = e @ ones[: e.shape[-1]]
+                np.matmul(e, v.data[:, tile], out=o)
+            else:
+                total += e @ ones[: e.shape[-1]]
+                o += np.matmul(e, v.data[:, tile], out=part[:, : e.shape[1]])
         # "not >=" also takes a NaN total: the bound is inf * 0 when one
         # norm overflows and the other is zero
         for b, i in zip(*np.nonzero(~(total >= 1e-200))):
-            row = np.matmul(k.data[b], qa[b, blk.start + i, :-1], out=e[b, i])
+            row = k.data[b] @ qa[b, blk.start + i, :-1]
             top = row.max()
             row -= top
             np.exp(row, out=row)
             shift[b, blk.start + i] = top
-            total[b, i] = row @ ones
-        o = np.matmul(e, v.data, out=out[:, blk])
+            total[b, i] = row.sum()
+            o[b, i] = row @ v.data[b]
         o /= total[..., None]
         lse[:, blk] = shift[:, blk] + np.log(total)[..., None]
 
     def vjp(g):
         delta = (g * out).sum(axis=-1, keepdims=True)
-        gq = np.empty_like(q.data)
+        gq = np.zeros_like(q.data)
         gk = np.zeros_like(k.data)
         gv = np.zeros_like(v.data)
         qa = _augment(q.data * scale, -lse)
-        kat = _augment(k.data, 1.0).swapaxes(-1, -2)
+        kat = _augment_t(k.data)
         ga = _augment(g, -delta)
-        vat = _augment(v.data, 1.0).swapaxes(-1, -2)
-        pbuf, dbuf = np.empty((2,) + block_shape)
+        vat = _augment_t(v.data)
+        pbuf, dbuf = np.empty((2,) + tile_shape)
         for blk in blocks:
-            p = probs(blk, pbuf, qa, kat)
-            ga_blk = ga[:, blk]
-            gv += p.swapaxes(-1, -2) @ g[:, blk]
-            ds = np.matmul(ga_blk, vat, out=dbuf[:, : ga_blk.shape[1]])
-            ds *= p
-            gq[:, blk] = ds @ k.data
-            gk += ds.swapaxes(-1, -2) @ q.data[:, blk]
+            ga_blk, g_blk, q_blk = ga[:, blk], g[:, blk], q.data[:, blk]
+            for tile in tiles:
+                p = probs(blk, tile, pbuf, qa, kat)
+                gv[:, tile] += p.swapaxes(-1, -2) @ g_blk
+                ds = np.matmul(ga_blk, vat[..., tile], out=dbuf[:, : p.shape[1], : p.shape[2]])
+                ds *= p
+                gq[:, blk] += ds @ k.data[:, tile]
+                gk[:, tile] += ds.swapaxes(-1, -2) @ q_blk
         gq *= scale
         gk *= scale
         return gq, gk, gv

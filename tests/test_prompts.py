@@ -184,26 +184,48 @@ def _composite_attention(q, k, v, scale):
     return matmul(softmax(matmul(q, transpose(k, (0, 2, 1))) * scale), v)
 
 
-@pytest.mark.parametrize("rows", [5, 1, 64], ids=["ragged", "single-row", "one-block"])
-def test_attention_matches_composite_chain(monkeypatch, rows):
-    """The blocked node against matmul/softmax/matmul through the engine."""
+_ROWS = {"ragged": 5, "single-row": 1, "one-block": 64}
+_KEY_TILES = {"": 64, "-ragged-key-tiles": 5, "-single-key-tiles": 1}
+
+
+@pytest.mark.parametrize(
+    "rows, tile",
+    [
+        pytest.param(rows, tile, id=name + suffix)
+        for name, rows in _ROWS.items()
+        for suffix, tile in _KEY_TILES.items()
+    ],
+)
+def test_attention_matches_composite_chain(monkeypatch, rows, tile):
+    """The tiled node against matmul/softmax/matmul through the engine:
+    37 queries in blocks of 5, 1 or all rows, crossed with 37 keys in
+    tiles of 5 (the last one ragged), 1 or all keys."""
     bsz, n, d = 2, 37, 3
-    monkeypatch.setattr(prompts, "_ATTN_BLOCK_ELEMS", rows * n * bsz)
+    monkeypatch.setattr(prompts, "_ATTN_KEY_TILE", tile)
+    monkeypatch.setattr(prompts, "_ATTN_BLOCK_ELEMS", rows * min(n, tile) * bsz)
     rng = np.random.default_rng(6)
     qkv = [rng.standard_normal((bsz, n, d)) for _ in range(3)]
     w = rng.standard_normal((bsz, n, d))
     scale = 1.0 / np.sqrt(d)
-    blocked = _attention_chain(qkv, w, attention, scale)
+    tiled = _attention_chain(qkv, w, attention, scale)
     chain = _attention_chain(qkv, w, _composite_attention, scale)
-    for got, want in zip(blocked, chain):
+    for got, want in zip(tiled, chain):
         # relative to the array's scale: single entries can cancel to ~0
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_attention_recomputes_rows_whose_bound_shift_underflows():
+def test_attention_recomputes_rows_whose_bound_shift_underflows(monkeypatch):
     """Logits up to about +-2000: rows with q orthogonal to the longest keys
     have a norm bound far above their true max, so exp(s - bound) would
-    underflow to 0 on the whole row without the exact-max fallback."""
+    underflow to 0 on the whole row without the exact-max fallback.
+
+    A second case has all-zero keys and one query whose norm overflows,
+    so that row's bound is inf * 0 = NaN. Every key tile then adds NaN to
+    its total and output, and only a fallback that replaces the tile
+    sums, rather than adding to them, gives a finite row. (An underflowed
+    row cannot show the difference: its tile sums are below 1e-200.) Both
+    cases run with the 48 keys in one tile and in five, the last ragged.
+    """
     rng = np.random.default_rng(8)
     bsz, n, d = 2, 48, 4
     k = rng.standard_normal((bsz, n, d))
@@ -223,16 +245,26 @@ def test_attention_recomputes_rows_whose_bound_shift_underflows():
     assert (overshoot < 1.0).sum() >= 10
 
     w = rng.standard_normal((bsz, n, d))
-    blocked = _attention_chain((q, k, v), w, attention, scale)
-    chain = _attention_chain((q, k, v), w, _composite_attention, scale)
-    for got, want in zip(blocked, chain):
-        assert np.all(np.isfinite(got))
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    q_nan = rng.standard_normal((1, n, d))
+    q_nan[0, 5] = 1e160
+    k_nan = np.zeros((1, n, d))
+    v_nan, w_nan = rng.standard_normal((2, 1, n, d))
+    # the overflowing norm and inf * 0 are meant here
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isinf(np.linalg.norm(q_nan[0, 5]))
+        for qkv, w in (((q, k, v), w), ((q_nan, k_nan, v_nan), w_nan)):
+            chain = _attention_chain(qkv, w, _composite_attention, scale)
+            for tile in (n, 10):
+                monkeypatch.setattr(prompts, "_ATTN_KEY_TILE", tile)
+                tiled = _attention_chain(qkv, w, attention, scale)
+                for got, want in zip(tiled, chain):
+                    assert np.all(np.isfinite(got))
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_attention_score_block_counts_the_batch():
-    """(4, 1024, 32): one block holds at most 2**18 scores over all four
-    images (2 MiB), not 2**18 per image."""
+    """(4, 1024, 32): one tile holds at most ``_ATTN_BLOCK_ELEMS`` scores
+    (2**16, 512 KiB) over all four images, not that many per image."""
     rng = np.random.default_rng(9)
     bsz, n, c = 4, 1024, 32
     q, k, v = (Tensor(rng.standard_normal((bsz, n, c))) for _ in range(3))
