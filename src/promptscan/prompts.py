@@ -30,6 +30,16 @@ from .tensor import (
 # tile's scores, keys and values stay in a 2 MiB L2 through all passes
 _ATTN_KEY_TILE = 256
 _ATTN_BLOCK_ELEMS = 1 << 16
+# pair bound t below which exp(s) is replaced by 1 + s + s^2 / 2: the
+# remainder t^3/6 * e^t, over exp(s) >= e^-t, is 8.5e-17 of each term,
+# below the unit roundoff 2^-53 = 1.1e-16
+_FAR_BOUND = 8e-6
+# the near/far cost model's prices, in GEMM flops: one exp of a score,
+# and one moment feature built by a numpy product. Set from timings on a
+# 2-vCPU x86 VM with single-threaded OpenBLAS, where at C = 32 an exact
+# pair took ~5.3 ns and a moment row as long as ~570-670 pairs
+_EXP_FLOPS = 40
+_FEATURE_FLOPS = 140
 
 
 @dataclass
@@ -145,38 +155,209 @@ def _augment_t(x: np.ndarray) -> np.ndarray:
     return aug
 
 
+def _exact_sums(qa, kat, v, buf, out, total):
+    """Write sum_j e_ij v_j into ``out`` and sum_j e_ij into ``total``,
+    with e_ij = exp(qa_i . kat_j), for (B, R, C + 1) rows ``qa`` against
+    (B, C + 1, K) keys ``kat``.
+
+    Rows go in blocks and keys in tiles of ``_ATTN_KEY_TILE``; a block
+    holds at most ``_ATTN_BLOCK_ELEMS`` scores over the whole batch and
+    lives in ``buf``. The tiles' partial sums add: each row's shift
+    rides in ``qa`` and is the same for every tile.
+    """
+    bsz, nq = qa.shape[:2]
+    nk = kat.shape[-1]
+    rows, tk = _block_shape(bsz, nq, nk)
+    scores = buf[: bsz * rows * tk].reshape(bsz, rows, tk)
+    part = np.empty((bsz, rows, v.shape[-1]))
+    ones = np.ones(tk)
+    for lo in range(0, nq, rows):
+        blk = slice(lo, lo + rows)
+        o = out[:, blk]
+        for tile in (slice(t, t + tk) for t in range(0, nk, tk)):
+            e = _probs(qa[:, blk], kat[..., tile], scores)
+            if tile.start == 0:
+                total[:, blk] = e @ ones[: e.shape[-1]]
+                np.matmul(e, v[:, tile], out=o)
+            else:
+                total[:, blk] += e @ ones[: e.shape[-1]]
+                o += np.matmul(e, v[:, tile], out=part[:, : e.shape[1]])
+
+
+def _block_shape(bsz, nq, nk):
+    """(rows, keys) of a score block: a tile of ``_ATTN_KEY_TILE`` keys and
+    the rows that fill ``_ATTN_BLOCK_ELEMS`` scores over the whole batch."""
+    tk = min(nk, _ATTN_KEY_TILE)
+    return min(nq, max(1, _ATTN_BLOCK_ELEMS // (bsz * tk))), tk
+
+
+def _probs(qa_blk, kat_tile, buf):
+    """exp of the augmented score GEMM for one block and key tile, in ``buf``."""
+    e = np.matmul(qa_blk, kat_tile, out=buf[:, : qa_blk.shape[1], : kat_tile.shape[-1]])
+    np.exp(e, out=e)
+    return e
+
+
+def _far_split(sq, kn, c, cv):
+    """Row and key cuts (a, b) of the cheapest near/far split of one batch
+    element's pairs, or None when the tiled loop alone is cheapest.
+
+    Light rows have sq <= a and far keys kn <= b, with a * b <= t, so
+    every light-row x far-key score is within the series' certificate.
+    Taking the r smallest ``sq`` as light rows fixes a and b, so all N
+    choices of r are priced at once with one ``searchsorted``. Costs
+    count GEMM flops: an exact pair is its score and value columns,
+    2(C + 1) + 2(C' + 1), plus one ``exp``; a light row or far key is a
+    moment row of ``_far_width(c)`` features, each built at elementwise
+    speed and multiplied into C' + 1 columns. No split can pay unless
+    the cheapest one imaginable, all rows light and all keys far, does
+    (never below N ~ 1340 at C = 32). Non-finite norms never qualify,
+    so those rows and keys stay exact.
+    """
+    nq, nk = sq.size, kn.size
+    pair = 2 * (c + 1) + 2 * (cv + 1) + _EXP_FLOPS
+    far = _far_width(c) * (2 * (cv + 1) + _FEATURE_FLOPS)
+    if far * (nq + nk) >= pair * nq * nk:  # all rows light, all keys far
+        return None
+    a = np.sort(sq[np.isfinite(sq)])
+    keys = np.sort(kn[np.isfinite(kn)])
+    with np.errstate(divide="ignore"):
+        far_keys = np.searchsorted(keys, _FAR_BOUND / a, side="right")
+    light = np.arange(1, a.size + 1)
+    cost = pair * ((nq - light) * nk + light * (nk - far_keys)) + far * (light + far_keys)
+    best = int(np.argmin(np.concatenate(([pair * nq * nk], cost))))
+    return (a[best - 1], keys[far_keys[best - 1] - 1]) if best else None
+
+
+def _far_width(c):
+    """Moment rows per key: [k, 1] and the c (c + 1) / 2 products k_a k_b, a <= b."""
+    return c + 1 + c * (c + 1) // 2
+
+
+def _far_features(feats, c):
+    """Fill rows c + 1 onwards of ``feats`` with the products x_a x_b,
+    a <= b, of its first c rows (one column per vector x)."""
+    off = c + 1
+    for i in range(c):
+        np.multiply(feats[i], feats[i:c], out=feats[off : off + c - i])
+        off += c - i
+
+
+def _far_moments(k, v, keys, buf):
+    """M = sum_j phi(k_j) [v_j, 1] over ``keys``, (F, C' + 1), with
+    phi(k) = [k, 1, k_a k_b (a < b), k_a^2 / 2]: the far field's summary.
+
+    Keys go in chunks whose features, built transposed (one column per
+    key), fill at most ``_ATTN_BLOCK_ELEMS`` values of ``buf``; the
+    chunks' moments are added pairwise.
+    """
+    c = k.shape[-1]
+    width = _far_width(c)
+    chunk = max(1, _ATTN_BLOCK_ELEMS // width)
+    chunks = range(0, keys.size, chunk)
+    # level l holds a sum of 2**l chunks while bit l of the count is set;
+    # one allocation for all levels keeps the heap from fragmenting
+    levels = np.zeros((max(1, len(chunks).bit_length()), width, v.shape[-1] + 1))
+    m = np.empty(levels.shape[1:])
+    for j, lo in enumerate(chunks):
+        idx = keys[lo : lo + chunk]
+        feats = buf[: width * idx.size].reshape(width, idx.size)
+        feats[:c] = k[idx].T
+        feats[c] = 1.0
+        _far_features(feats, c)
+        np.matmul(feats, _augment(v[idx], 1.0), out=m)
+        level = 0
+        while j >> level & 1:  # carry through the levels this chunk completes
+            m += levels[level]
+            level += 1
+        levels[level] = m
+    m[:] = 0.0
+    for level in range(levels.shape[0]):
+        if len(chunks) >> level & 1:
+            m += levels[level]
+    i = np.arange(c)
+    m[c + 1 + i * c - i * (i - 1) // 2] *= 0.5  # the rows of k_a^2
+    return m
+
+
+def _row_sums(q, scale, shift, rows, kat, v, moments, buf, out, total):
+    """Write into ``out`` and ``total`` the ``_exact_sums`` of one batch
+    element's ``rows`` of q against the keys of ``kat``, plus, given the
+    far keys' ``moments`` M, each row's degree-2 series
+    [x, 1, x_a x_b (a <= b)] . M e^(-m_i), x = scale * q_i.
+
+    Rows go in gathered chunks: one score block each without moments,
+    else as many as fill ``buf`` with their features (built transposed,
+    one column per row).
+    """
+    c = q.shape[-1]
+    width = _far_width(c) if moments is not None else min(kat.shape[-1], _ATTN_KEY_TILE)
+    chunk = max(1, _ATTN_BLOCK_ELEMS // width)
+    for lo in range(0, rows.size, chunk):
+        idx = rows[lo : lo + chunk]
+        qa = _augment(q[idx] * scale, -shift[idx])
+        o, t = np.zeros((1, idx.size, v.shape[-1])), np.zeros((1, idx.size))
+        if kat.shape[-1]:
+            _exact_sums(qa[None], kat[None], v[None], buf, o, t)
+        if moments is not None:
+            feats = buf[: width * idx.size].reshape(width, idx.size)
+            feats[: c + 1] = qa.T
+            feats[c] = 1.0
+            _far_features(feats, c)
+            far = feats.T @ moments
+            w = np.exp(qa[:, -1])
+            o[0] += far[:, :-1] * w[:, None]
+            t[0] += far[:, -1] * w
+        out[idx], total[idx] = o[0], t[0]
+
+
 def attention(q, k, v, scale: float) -> Tensor:
-    """softmax(q @ k^T * scale) @ v as one node, tiled over queries and keys.
+    """softmax(q @ k^T * scale) @ v as one node: exact tiles for the pairs
+    whose scores can matter, a certified degree-2 series for the rest.
 
-    Both passes walk blocks of query rows and, inside each block, tiles
-    of ``_ATTN_KEY_TILE`` keys. A block holds at most
-    ``_ATTN_BLOCK_ELEMS`` scores over the whole batch, so one step's
-    scores, key tile and value tile stay in cache through its score
-    GEMM, ``exp`` and value GEMM at any token count. Each pass allocates
-    its tile buffers once (forward: the scores; backward: the
-    probabilities and their cotangent, in one array) and refills them,
-    so memory is linear in the token count.
+    Row i is shifted by the Cauchy-Schwarz bound m_i = sq_i * max_j kn_j,
+    with sq_i = |scale| * |q_i| and kn_j = |k_j|, which no score in the
+    row exceeds, so ``exp`` cannot overflow and the row max is never
+    taken. The shift is fixed before any score is computed, so any
+    partition of a row's keys gives partial exp-sums and value products
+    that simply add. The forward splits each batch element's pairs into
+    three such parts by the same norms:
 
-    Row i is shifted by the Cauchy-Schwarz bound
-    m_i = |scale| * |q_i| * max_j |k_j|, which no score in the row
-    exceeds, so ``exp`` cannot overflow and the row max is never taken.
-    The shift is fixed before any score is computed, so every key tile
-    of a row is exponentiated against the same m_i: the tiles' partial
-    exp-sums and value products simply add, with none of the online
-    rescaling a running max would need. The scale and the shift ride in
-    the score GEMM through one extra contraction column,
-    [scale * q, -m] @ [k^T; 1] = s - m, and row totals are a GEMV
-    against ones. Forward keeps the per-row log-sum-exp; backward
-    recomputes each tile's probabilities from it with the same GEMM and
-    gets dp - delta as [g, -delta] @ [v^T; 1] (Rabe & Staats 2021;
-    Dao et al. 2022). ``scale`` is applied once to the (N, C) gradients
-    of q and k.
+    - heavy rows (sq_i > a) run the tiled loop over all keys: blocks of
+      query rows against tiles of ``_ATTN_KEY_TILE`` keys, a block
+      holding at most ``_ATTN_BLOCK_ELEMS`` scores over the whole batch
+      so that its scores, keys and values stay in cache at any token
+      count. The scale and the shift ride in the score GEMM through one
+      extra contraction column, [scale * q, -m] @ [k^T; 1] = s - m, and
+      row totals are a GEMV against ones;
+    - light rows (sq_i <= a) against near keys (kn_j > b) are the same
+      exact tiles, over those keys only;
+    - light rows against far keys (kn_j <= b) have |s_ij| <= a * b <= t =
+      ``_FAR_BOUND`` = 8e-6, where exp(s) = 1 + s + s^2/2 up to t^3/6 *
+      e^(2t) = 8.5e-17 of each term, below float64's unit roundoff. So
+      the far keys enter only through their moments
+      M = sum_j phi(k_j) [v_j, 1], phi(k) = [k, 1, k_a k_b (a < b),
+      k_a^2 / 2], and row i's share is [x, 1, x_a x_b (a <= b)] . M
+      e^(-m_i) with x = scale * q_i (the linear attention of
+      Katharopoulos et al. 2020 with the degree-2 feature map of Arora
+      et al. 2024, split near/far as in Greengard & Rokhlin 1987).
+
+    a and b come from ``_far_split``, a flop-count cost model over the
+    sorted norms of each batch element. When no split pays (N = 256,
+    large norms), every row is heavy and, if no batch element splits,
+    the whole batch runs the tiled loop as one. All parts share one
+    buffer of ``_ATTN_BLOCK_ELEMS`` values, so memory is linear in the
+    token count.
 
     A row whose total underflows (below 1e-200: the bound overshoots its
-    true max by about 460 or more, which needs extreme logits) is
-    recomputed with its exact max over all keys, and its total and
-    output replace the tile sums. Backward needs no such case: it
-    shifts by the exact log-sum-exp.
+    true max by about 460 or more, which needs extreme logits) or is NaN
+    is recomputed with its exact max over all keys, and its total and
+    output replace the parts' sums. Forward keeps the per-row log-sum-
+    exp m_i + log(total), split or not; backward recomputes each tile's
+    probabilities from it with the same GEMM over all pairs and gets
+    dp - delta as [g, -delta] @ [v^T; 1] (Rabe & Staats 2021; Dao et al.
+    2022), so it needs no fallback and no split. ``scale`` is applied
+    once to the (N, C) gradients of q and k.
     """
     q, k, v = astensor(q), astensor(k), astensor(v)
     if not (
@@ -189,52 +370,38 @@ def attention(q, k, v, scale: float) -> Tensor:
             f"attention operands do not fit: q {tuple(q.shape)}, "
             f"k {tuple(k.shape)}, v {tuple(v.shape)}"
         )
-    bsz, nk = k.shape[:2]
-    tk = min(nk, _ATTN_KEY_TILE)
-    rows = max(1, _ATTN_BLOCK_ELEMS // (bsz * tk))
-    blocks = [slice(lo, lo + rows) for lo in range(0, q.shape[1], rows)]
-    tiles = [slice(lo, lo + tk) for lo in range(0, nk, tk)]
-    tile_shape = (bsz, min(rows, q.shape[1]), tk)
-    ones = np.ones(tk)
-
-    def probs(blk, tile, buf, qa, kat):
-        """exp of the augmented score GEMM for one block and key tile, in ``buf``."""
-        qa_blk, kat_tile = qa[:, blk], kat[..., tile]
-        e = np.matmul(qa_blk, kat_tile, out=buf[:, : qa_blk.shape[1], : kat_tile.shape[-1]])
-        np.exp(e, out=e)
-        return e
-
-    qn = np.linalg.norm(q.data, axis=-1, keepdims=True)
-    kn = np.linalg.norm(k.data, axis=-1).max(axis=1)
-    shift = abs(scale) * qn * kn[:, None, None]
-    qa = _augment(q.data * scale, -shift)
-    kat = _augment_t(k.data)
+    bsz, nk, c = k.shape
+    sq = abs(scale) * np.linalg.norm(q.data, axis=-1)
+    kn = np.linalg.norm(k.data, axis=-1)
+    shift = sq[..., None] * kn.max(axis=1)[:, None, None]
+    splits = [_far_split(sq[b], kn[b], c, v.shape[2]) for b in range(bsz)]
     out = np.empty(q.shape[:2] + v.shape[2:])
-    lse = np.empty(q.shape[:2] + (1,))
-    scores = np.empty(tile_shape)
-    part = np.empty(tile_shape[:2] + v.shape[2:])
-    for blk in blocks:
-        o = out[:, blk]
-        for tile in tiles:
-            e = probs(blk, tile, scores, qa, kat)
-            if tile.start == 0:
-                total = e @ ones[: e.shape[-1]]
-                np.matmul(e, v.data[:, tile], out=o)
-            else:
-                total += e @ ones[: e.shape[-1]]
-                o += np.matmul(e, v.data[:, tile], out=part[:, : e.shape[1]])
-        # "not >=" also takes a NaN total: the bound is inf * 0 when one
-        # norm overflows and the other is zero
-        for b, i in zip(*np.nonzero(~(total >= 1e-200))):
-            row = k.data[b] @ qa[b, blk.start + i, :-1]
-            top = row.max()
-            row -= top
-            np.exp(row, out=row)
-            shift[b, blk.start + i] = top
-            total[b, i] = row.sum()
-            o[b, i] = row @ v.data[b]
-        o /= total[..., None]
-        lse[:, blk] = shift[:, blk] + np.log(total)[..., None]
+    total = np.empty(q.shape[:2])
+    buf = np.empty(_ATTN_BLOCK_ELEMS)
+    if not any(splits):  # every row heavy: the whole batch in one tiled loop
+        _exact_sums(_augment(q.data * scale, -shift), _augment_t(k.data), v.data, buf, out, total)
+    else:
+        # an element without a split is all heavy rows and near keys
+        for b, (row_cut, key_cut) in enumerate(s or (-np.inf, -np.inf) for s in splits):
+            light, far = sq[b] <= row_cut, kn[b] <= key_cut
+            qb, kb, vb, ob, tb = q.data[b], k.data[b], v.data[b], out[b], total[b]
+            moments = _far_moments(kb, vb, np.flatnonzero(far), buf)
+            heavy_rows, light_rows = np.flatnonzero(~light), np.flatnonzero(light)
+            _row_sums(qb, scale, shift[b], heavy_rows, _augment_t(kb), vb, None, buf, ob, tb)
+            kat, vb = _augment_t(kb[~far]), vb[~far]
+            _row_sums(qb, scale, shift[b], light_rows, kat, vb, moments, buf, ob, tb)
+    # "not >=" also takes a NaN total: the bound is inf * 0 when one
+    # norm overflows and the other is zero
+    for b, i in zip(*np.nonzero(~(total >= 1e-200))):
+        row = k.data[b] @ (q.data[b, i] * scale)
+        top = row.max()
+        row -= top
+        np.exp(row, out=row)
+        shift[b, i] = top
+        total[b, i] = row.sum()
+        out[b, i] = row @ v.data[b]
+    out /= total[..., None]
+    lse = shift + np.log(total)[..., None]
 
     def vjp(g):
         delta = (g * out).sum(axis=-1, keepdims=True)
@@ -245,11 +412,14 @@ def attention(q, k, v, scale: float) -> Tensor:
         kat = _augment_t(k.data)
         ga = _augment(g, -delta)
         vat = _augment_t(v.data)
-        pbuf, dbuf = np.empty((2,) + tile_shape)
+        rows, tk = _block_shape(bsz, q.shape[1], nk)
+        blocks = [slice(lo, lo + rows) for lo in range(0, q.shape[1], rows)]
+        tiles = [slice(lo, lo + tk) for lo in range(0, nk, tk)]
+        pbuf, dbuf = np.empty((2, bsz, rows, tk))
         for blk in blocks:
             ga_blk, g_blk, q_blk = ga[:, blk], g[:, blk], q.data[:, blk]
             for tile in tiles:
-                p = probs(blk, tile, pbuf, qa, kat)
+                p = _probs(qa[:, blk], kat[..., tile], pbuf)
                 gv[:, tile] += p.swapaxes(-1, -2) @ g_blk
                 ds = np.matmul(ga_blk, vat[..., tile], out=dbuf[:, : p.shape[1], : p.shape[2]])
                 ds *= p
@@ -278,6 +448,11 @@ def global_prompt(
     input. Spectral coefficients grow with token count, so features are
     scaled by 1/N to keep the attention logits in a sane range at any
     grid size.
+
+    An image's spectrum sits in a few low frequencies, so most tokens'
+    features, and with them most score bounds |scale| |q_i| |k_j|, are
+    tiny: ``attention`` runs those pairs through its far-field series
+    (exact to float64 rounding) and only the rest through score tiles.
     """
     x = astensor(x)
     q, k, v = _spectral_qkv(x, h, w, params, features)

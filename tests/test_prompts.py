@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -214,6 +215,27 @@ def test_attention_matches_composite_chain(monkeypatch, rows, tile):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _split_cuts(q, k, scale):
+    """Per batch element: (light rows, far keys) of the chosen split, or None."""
+    sq = abs(scale) * np.linalg.norm(q, axis=-1)
+    kn = np.linalg.norm(k, axis=-1)
+    cuts = []
+    for b in range(q.shape[0]):
+        split = prompts._far_split(sq[b], kn[b], k.shape[-1], k.shape[-1])
+        cuts.append(split and (int((sq[b] <= split[0]).sum()), int((kn[b] <= split[1]).sum())))
+    return cuts
+
+
+def _near_far_operands(rng, n, c, small=1e-4):
+    """(1, n, c) q, k, v: entries of size ``small`` except 5% of the query
+    rows and 5% of the keys, a thousand times larger, so that a split
+    has heavy rows, near keys, light rows and far keys."""
+    q, k = rng.standard_normal((2, 1, n, c)) * small
+    q[0, rng.choice(n, n // 20, replace=False)] *= 1e3
+    k[0, rng.choice(n, n // 20, replace=False)] *= 1e3
+    return q, k, rng.standard_normal((1, n, c))
+
+
 def test_attention_recomputes_rows_whose_bound_shift_underflows(monkeypatch):
     """Logits up to about +-2000: rows with q orthogonal to the longest keys
     have a norm bound far above their true max, so exp(s - bound) would
@@ -223,8 +245,15 @@ def test_attention_recomputes_rows_whose_bound_shift_underflows(monkeypatch):
     so that row's bound is inf * 0 = NaN. Every key tile then adds NaN to
     its total and output, and only a fallback that replaces the tile
     sums, rather than adding to them, gives a finite row. (An underflowed
-    row cannot show the difference: its tile sums are below 1e-200.) Both
-    cases run with the 48 keys in one tile and in five, the last ragged.
+    row cannot show the difference: its tile sums are below 1e-200.)
+
+    Two more cases take the near/far split (256 small keys and queries at
+    C = 4). In the third, one key of norm 1e7 makes the shift of every
+    light row about 1000, so the light rows not aligned with it underflow
+    in both their near exps and their far series. In the fourth, one
+    query and one key have overflowing norms: they must stay heavy and
+    near, and the infinite max key norm sends every row to the fallback.
+    All cases run with the keys in one tile and in tiles of 10.
     """
     rng = np.random.default_rng(8)
     bsz, n, d = 2, 48, 4
@@ -249,17 +278,171 @@ def test_attention_recomputes_rows_whose_bound_shift_underflows(monkeypatch):
     q_nan[0, 5] = 1e160
     k_nan = np.zeros((1, n, d))
     v_nan, w_nan = rng.standard_normal((2, 1, n, d))
-    # the overflowing norm and inf * 0 are meant here
+
+    m = 256
+    q_far, k_far, v_far = rng.standard_normal((3, 1, m, d)) * 1e-4
+    k_far[0, 7] = [1e7, 0.0, 0.0, 0.0]
+    w_far = rng.standard_normal((1, m, d))
+    cuts = _split_cuts(q_far, k_far, scale)[0]
+    assert cuts is not None and cuts[0] > 100
+    sq = scale * np.linalg.norm(q_far[0], axis=-1)
+    logits = scale * q_far[0] @ k_far[0].T
+    overshoot = sq * 1e7 - logits.max(axis=-1)
+    assert (overshoot[np.argsort(sq)[: cuts[0]]] > 700.0).sum() >= 10
+
+    # one query along axis 0 and one key along axis 1, which no other
+    # key or query touches, so every score stays finite
+    q_inf, k_inf = q_far.copy(), k_far.copy()
+    q_inf[..., :2] = 0.0
+    k_inf[..., 0] = 0.0
+    q_inf[0, 3, 0] = 1e160
+    k_inf[0, 7] = [0.0, 1e160, 0.0, 0.0]
+    # the overflowing norms and inf * 0 are meant here
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isinf(np.linalg.norm(q_nan[0, 5]))
-        for qkv, w in (((q, k, v), w), ((q_nan, k_nan, v_nan), w_nan)):
+        assert _split_cuts(q_inf, k_inf, scale)[0] is not None
+        cases = (
+            ((q, k, v), w),
+            ((q_nan, k_nan, v_nan), w_nan),
+            ((q_far, k_far, v_far), w_far),
+            ((q_inf, k_inf, v_far), w_far),
+        )
+        for qkv, w in cases:
             chain = _attention_chain(qkv, w, _composite_attention, scale)
-            for tile in (n, 10):
+            for tile in (qkv[1].shape[1], 10):
                 monkeypatch.setattr(prompts, "_ATTN_KEY_TILE", tile)
                 tiled = _attention_chain(qkv, w, attention, scale)
                 for got, want in zip(tiled, chain):
                     assert np.all(np.isfinite(got))
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _long_double_attention(q, k, v, scale):
+    """softmax(q k^T * scale) v of one batch element in long double, 256 rows at a time."""
+    q, k, v = (np.asarray(a, dtype=np.longdouble) for a in (q, k, v))
+    out = np.empty((q.shape[0], v.shape[1]), dtype=np.longdouble)
+    for lo in range(0, q.shape[0], 256):
+        s = (q[lo : lo + 256] * scale) @ k.T
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        out[lo : lo + 256] = (e @ v) / e.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _tiled_loop(q, k, v, scale):
+    """out and lse from the tiled loop over all keys, with no split."""
+    sq = abs(scale) * np.linalg.norm(q, axis=-1)
+    shift = sq[..., None] * np.linalg.norm(k, axis=-1).max(axis=1)[:, None, None]
+    out = np.empty(q.shape[:2] + v.shape[2:])
+    total = np.empty(q.shape[:2])
+    qa, kat = prompts._augment(q * scale, -shift), prompts._augment_t(k)
+    prompts._exact_sums(qa, kat, v, np.empty(prompts._ATTN_BLOCK_ELEMS), out, total)
+    return out / total[..., None], shift + np.log(total)[..., None]
+
+
+def _out_and_lse(q, k, v, scale):
+    """A tracked call's output and the log-sum-exp its vjp keeps."""
+    node = attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), scale)
+    return node.data, inspect.getclosurevars(node._vjp).nonlocals["lse"]
+
+
+def test_attention_split_matches_long_double_oracle():
+    """(1, 2048, 32), small q and k but for 5% heavy rows and 5% near keys,
+    so the forward runs all three parts of the near/far split. Queries
+    and keys lie near one direction spanning two axes, the keys' sizes
+    are graded and v's first column is their square: so light pairs come
+    within a factor of ~2 of the series' bound, and the quadratic term
+    moves the output coherently (without it by 4.5e-13, without the
+    halved squares by 2.2e-13, both caught by the bound).
+
+    The output is within 1e-13 * max|v| of a long-double softmax (not of
+    max|out|: the columns of v can cancel), and the gradients, from the
+    exact vjp through the split's lse, match the composite chain."""
+    rng = np.random.default_rng(12)
+    n, c = 2048, 32
+    direction = np.zeros(c)
+    direction[:2] = 4.0
+    q, k = (direction + 0.3 * rng.standard_normal((2, 1, n, c))) * 1e-3
+    size = rng.uniform(0.0, 1.0, n)
+    k *= size[:, None]
+    q[0, rng.choice(n, n // 20, replace=False)] *= 1e3
+    k[0, rng.choice(n, n // 20, replace=False)] *= 1e3
+    v = rng.standard_normal((1, n, c))
+    v[0, :, 0] = size**2
+    scale = 1.0 / np.sqrt(c)
+    ((light, far),) = _split_cuts(q, k, scale)
+    assert n // 2 < light < n and n // 2 < far < n
+    w = rng.standard_normal((1, n, c))
+    got = _attention_chain((q, k, v), w, attention, scale)
+    oracle = _long_double_attention(q[0], k[0], v[0], scale)
+    assert np.abs(got[0][0] - oracle).max() <= 1e-13 * np.abs(v).max()
+    chain = _attention_chain((q, k, v), w, _composite_attention, scale)
+    for grad, want in zip(got[1:], chain[1:]):
+        assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "shape, size",
+    [
+        pytest.param((4, 256, 32), 1e-4, id="train-desk"),
+        pytest.param((1, 4096, 32), 1.0, id="large-norms"),
+    ],
+)
+def test_attention_runs_the_tiled_loop_when_no_split_pays(shape, size):
+    """At N = 256 no light row can repay its moment row, whatever the
+    norms; at N = 4096 with unit-size entries no pair is within the
+    series' bound. Either way out and lse are the tiled loop's, byte
+    for byte."""
+    rng = np.random.default_rng(13)
+    q, k = rng.standard_normal((2,) + shape) * size
+    v = rng.standard_normal(shape)
+    scale = 1.0 / np.sqrt(shape[-1])
+    assert _split_cuts(q, k, scale) == [None] * shape[0]
+    for got, want in zip(_out_and_lse(q, k, v, scale), _tiled_loop(q, k, v, scale)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_attention_splits_each_batch_element_on_its_own():
+    """Element 0 has small norms and splits, element 1 has unit norms and
+    does not: each comes out byte for byte as it does alone, element 1
+    as the tiled loop's and element 0 within 1e-13 * max|v| of it."""
+    rng = np.random.default_rng(14)
+    n, c = 1024, 8
+    small, unit = _near_far_operands(rng, n, c), rng.standard_normal((3, 1, n, c))
+    q, k, v = (np.concatenate([a, b]) for a, b in zip(small, unit))
+    scale = 1.0 / np.sqrt(c)
+    cuts = _split_cuts(q, k, scale)
+    assert cuts[0] is not None and cuts[1] is None
+    out, lse = _out_and_lse(q, k, v, scale)
+    for b in range(2):
+        alone = _out_and_lse(q[b : b + 1], k[b : b + 1], v[b : b + 1], scale)
+        tiled = _tiled_loop(q[b : b + 1], k[b : b + 1], v[b : b + 1], scale)
+        assert out[b].tobytes() == alone[0][0].tobytes()
+        assert lse[b].tobytes() == alone[1][0].tobytes()
+        assert (out[b].tobytes() == tiled[0][0].tobytes()) == (b == 1)
+        assert np.abs(out[b] - tiled[0][0]).max() <= 1e-13 * np.abs(v[b]).max()
+
+
+def test_attention_split_stays_within_one_score_tile_and_the_augmented_operands():
+    """(1, 4096, 32) with the split engaged: the transient peak has the
+    same bound as the tiled loop's (see the test below), because all
+    three parts share one score-sized buffer and the split builds no
+    augmented q."""
+    rng = np.random.default_rng(15)
+    n, c = 4096, 32
+    q, k, v = _near_far_operands(rng, n, c)
+    scale = 1.0 / np.sqrt(c)
+    assert _split_cuts(q, k, scale)[0] is not None
+    q, k, v = Tensor(q), Tensor(k), Tensor(v)
+    tracemalloc.start()
+    try:
+        out = attention(q, k, v, scale)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = out.data.nbytes + n * 8
+    augmented = 2 * n * (c + 1) * 8
+    scores = prompts._ATTN_BLOCK_ELEMS * 8
+    assert peak - kept <= scores + augmented + 2**19, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_attention_score_block_counts_the_batch():
@@ -334,16 +517,19 @@ def test_attention_rejects_mismatched_operands():
         attention(q, q, Tensor(np.zeros((1, 5, 3))), 1.0)
 
 
-def test_global_prompt_at_128_grid_stays_under_memory_cap():
-    """N = 16384: one copy of the full score matrix alone would be 2 GiB."""
+def _global_prompt_at_128_grid(weights):
+    """Run global_prompt at N = 16384, C = 8 under tracemalloc with
+    projection weights drawn by ``weights(rng, shape)``. Check its peak,
+    and 8 random rows (plus 8 light rows when the call splits) against a
+    dense softmax. Returns the call's split cuts."""
     rng = np.random.default_rng(7)
     c, h, w = 8, 128, 128
     n = h * w
     x = rng.standard_normal((1, n, c))
     params = GlobalPromptParams(
-        wq=Tensor(rng.standard_normal((2 * c, c))),
-        wk=Tensor(rng.standard_normal((2 * c, c))),
-        wv=Tensor(rng.standard_normal((2 * c, c))),
+        wq=Tensor(weights(rng, (2 * c, c))),
+        wk=Tensor(weights(rng, (2 * c, c))),
+        wv=Tensor(weights(rng, (2 * c, c))),
     )
     tracemalloc.start()
     try:
@@ -357,13 +543,34 @@ def test_global_prompt_at_128_grid_stays_under_memory_cap():
 
     spec = np.fft.fft2(x[0].reshape(h, w, c), axes=(0, 1)).reshape(n, c)
     feats = np.concatenate([spec.real, spec.imag], axis=-1) / n
+    q = feats @ params.wq.data
     k = feats @ params.wk.data
     v = feats @ params.wv.data
+    (cuts,) = _split_cuts(q[None], k[None], 1.0 / np.sqrt(c))
     picked = rng.choice(n, size=8, replace=False)
-    scores = feats[picked] @ params.wq.data @ k.T / np.sqrt(c)
+    if cuts is not None:  # and 8 of the light rows
+        sq = np.linalg.norm(q, axis=-1)
+        picked = np.concatenate([picked, np.argsort(sq)[: cuts[0]][::97][:8]])
+    scores = q[picked] @ k.T / np.sqrt(c)
     probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs /= probs.sum(axis=-1, keepdims=True)
     np.testing.assert_allclose(out[0, picked], probs @ v, rtol=1e-9, atol=1e-12)
+    return cuts
+
+
+def test_global_prompt_at_128_grid_stays_under_memory_cap():
+    """N = 16384: one copy of the full score matrix alone would be 2 GiB."""
+    _global_prompt_at_128_grid(lambda rng, shape: rng.standard_normal(shape))
+
+
+def test_global_prompt_at_128_grid_with_checkpoint_weights_splits_under_memory_cap():
+    """The same with weights at checkpoint scale, +-1/sqrt(fan_in): now
+    the rows and keys of smallest norm pair within the series' bound,
+    and the near/far split engages."""
+    cuts = _global_prompt_at_128_grid(
+        lambda rng, shape: rng.uniform(-1.0, 1.0, shape) / np.sqrt(shape[0])
+    )
+    assert cuts is not None and cuts[0] >= 8 and cuts[1] >= 8
 
 
 def test_fuse_prompts_shape_check():
