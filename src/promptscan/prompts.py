@@ -31,9 +31,11 @@ from .tensor import (
 _ATTN_KEY_TILE = 256
 _ATTN_BLOCK_ELEMS = 1 << 16
 # pair bound t below which exp(s) is replaced by 1 + s + s^2 / 2: the
-# remainder t^3/6 * e^t, over exp(s) >= e^-t, is 8.5e-17 of each term,
-# below the unit roundoff 2^-53 = 1.1e-16
-_FAR_BOUND = 8e-6
+# remainder t^3/6 * e^t, over exp(s) >= e^-t, is 2.8e-14 of each term,
+# within gamma_256 = 256 u / (1 - 256 u) (u = 2^-53), the a-priori
+# relative error bound of the 256-term dot products of which the tiled
+# loop builds every exact row sum (Higham 2002, section 3.1)
+_FAR_BOUND = 5.5e-5
 # the near/far cost model's prices, in GEMM flops: one exp of a score,
 # and one moment feature built by a numpy product. Set from timings on a
 # 2-vCPU x86 VM with single-threaded OpenBLAS, where at C = 32 an exact
@@ -199,34 +201,47 @@ def _probs(qa_blk, kat_tile, buf):
 
 
 def _far_split(sq, kn, c, cv):
-    """Row and key cuts (a, b) of the cheapest near/far split of one batch
-    element's pairs, or None when the tiled loop alone is cheapest.
+    """The cheapest near/far split of one batch element's pairs, or None
+    when the tiled loop alone is cheapest: the keys' order by norm, the
+    heavy rows, and the light rows in chunks, each with its cut: the
+    number of smallest keys it takes as far.
 
-    Light rows have sq <= a and far keys kn <= b, with a * b <= t, so
-    every light-row x far-key score is within the series' certificate.
-    Taking the r smallest ``sq`` as light rows fixes a and b, so all N
-    choices of r are priced at once with one ``searchsorted``. Costs
-    count GEMM flops: an exact pair is its score and value columns,
-    2(C + 1) + 2(C' + 1), plus one ``exp``; a light row or far key is a
-    moment row of ``_far_width(c)`` features, each built at elementwise
-    speed and multiplied into C' + 1 columns. No split can pay unless
-    the cheapest one imaginable, all rows light and all keys far, does
-    (never below N ~ 1340 at C = 32). Non-finite norms never qualify,
-    so those rows and keys stay exact.
+    Row i could take as far the f_i smallest keys, those with
+    sq_i * kn_j <= t, so that each such score is within the series'
+    certificate; one ``searchsorted`` over the sorted key norms gives
+    every f_i. A row is light when its f_i exact pairs cost more than
+    its moment row. Light rows go in order of f_i, in chunks of one
+    score block's rows, and a chunk's cut is the least f_i among its
+    rows, so its exact pairs are full tiles against the keys past the
+    cut. Costs count GEMM flops: an exact pair is its score and value
+    columns, 2(C + 1) + 2(C' + 1), plus one ``exp``; a light row or far
+    key is a moment row of ``_far_width(c)`` features, each built at
+    elementwise speed and multiplied into C' + 1 columns, and the far
+    keys' moments are built once, up to the largest cut. No split can
+    pay unless the cheapest one imaginable, all rows light and all keys
+    far, does (never below N ~ 1340 at C = 32). Non-finite norms never
+    qualify, so those rows stay heavy and those keys near.
     """
     nq, nk = sq.size, kn.size
     pair = 2 * (c + 1) + 2 * (cv + 1) + _EXP_FLOPS
     far = _far_width(c) * (2 * (cv + 1) + _FEATURE_FLOPS)
     if far * (nq + nk) >= pair * nq * nk:  # all rows light, all keys far
         return None
-    a = np.sort(sq[np.isfinite(sq)])
-    keys = np.sort(kn[np.isfinite(kn)])
-    with np.errstate(divide="ignore"):
-        far_keys = np.searchsorted(keys, _FAR_BOUND / a, side="right")
-    light = np.arange(1, a.size + 1)
-    cost = pair * ((nq - light) * nk + light * (nk - far_keys)) + far * (light + far_keys)
-    best = int(np.argmin(np.concatenate(([pair * nq * nk], cost))))
-    return (a[best - 1], keys[far_keys[best - 1] - 1]) if best else None
+    order = np.argsort(kn, kind="stable")  # non-finite norms sort last
+    keys = kn[order[: np.count_nonzero(np.isfinite(kn))]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.searchsorted(keys, _FAR_BOUND / sq, side="right")
+    f[~np.isfinite(sq)] = 0
+    light = pair * f > far
+    heavy, light = np.flatnonzero(~light), np.flatnonzero(light)
+    light = light[np.argsort(f[light], kind="stable")]
+    rows = _block_shape(1, nq, nk)[0]
+    cuts = f[light[::rows]]
+    sizes = np.minimum(rows, light.size - np.arange(0, light.size, rows))
+    exact = heavy.size * nk + sizes @ (nk - cuts)
+    if pair * exact + far * (light.size + cuts.max(initial=0)) >= pair * nq * nk:
+        return None
+    return order, heavy, list(zip(np.split(light, range(rows, light.size, rows)), cuts))
 
 
 def _far_width(c):
@@ -286,13 +301,15 @@ def _row_sums(q, scale, shift, rows, kat, v, moments, buf, out, total):
     far keys' ``moments`` M, each row's degree-2 series
     [x, 1, x_a x_b (a <= b)] . M e^(-m_i), x = scale * q_i.
 
-    Rows go in gathered chunks: one score block each without moments,
-    else as many as fill ``buf`` with their features (built transposed,
-    one column per row).
+    Rows go in gathered chunks of one score block against the keys of
+    ``kat``, so the exact pairs run in full-size tiles; the series then
+    takes each chunk in slices whose features, built transposed (one
+    column per row), fill ``buf``.
     """
     c = q.shape[-1]
-    width = _far_width(c) if moments is not None else min(kat.shape[-1], _ATTN_KEY_TILE)
-    chunk = max(1, _ATTN_BLOCK_ELEMS // width)
+    width = _far_width(c)
+    chunk = _block_shape(1, max(1, rows.size), max(1, kat.shape[-1]))[0]
+    part = max(1, _ATTN_BLOCK_ELEMS // width)
     for lo in range(0, rows.size, chunk):
         idx = rows[lo : lo + chunk]
         qa = _augment(q[idx] * scale, -shift[idx])
@@ -300,14 +317,16 @@ def _row_sums(q, scale, shift, rows, kat, v, moments, buf, out, total):
         if kat.shape[-1]:
             _exact_sums(qa[None], kat[None], v[None], buf, o, t)
         if moments is not None:
-            feats = buf[: width * idx.size].reshape(width, idx.size)
-            feats[: c + 1] = qa.T
-            feats[c] = 1.0
-            _far_features(feats, c)
-            far = feats.T @ moments
-            w = np.exp(qa[:, -1])
-            o[0] += far[:, :-1] * w[:, None]
-            t[0] += far[:, -1] * w
+            for f in range(0, idx.size, part):
+                x = qa[f : f + part]
+                feats = buf[: width * x.shape[0]].reshape(width, x.shape[0])
+                feats[: c + 1] = x.T
+                feats[c] = 1.0
+                _far_features(feats, c)
+                far = feats.T @ moments
+                w = np.exp(x[:, -1])
+                o[0, f : f + part] += far[:, :-1] * w[:, None]
+                t[0, f : f + part] += far[:, -1] * w
         out[idx], total[idx] = o[0], t[0]
 
 
@@ -321,33 +340,38 @@ def attention(q, k, v, scale: float) -> Tensor:
     taken. The shift is fixed before any score is computed, so any
     partition of a row's keys gives partial exp-sums and value products
     that simply add. The forward splits each batch element's pairs into
-    three such parts by the same norms:
+    three such parts by the same norms. Each row may take as far its
+    f_i smallest keys, those with sq_i * kn_j <= t = ``_FAR_BOUND`` =
+    5.5e-5, and:
 
-    - heavy rows (sq_i > a) run the tiled loop over all keys: blocks of
-      query rows against tiles of ``_ATTN_KEY_TILE`` keys, a block
-      holding at most ``_ATTN_BLOCK_ELEMS`` scores over the whole batch
-      so that its scores, keys and values stay in cache at any token
-      count. The scale and the shift ride in the score GEMM through one
-      extra contraction column, [scale * q, -m] @ [k^T; 1] = s - m, and
-      row totals are a GEMV against ones;
-    - light rows (sq_i <= a) against near keys (kn_j > b) are the same
-      exact tiles, over those keys only;
-    - light rows against far keys (kn_j <= b) have |s_ij| <= a * b <= t =
-      ``_FAR_BOUND`` = 8e-6, where exp(s) = 1 + s + s^2/2 up to t^3/6 *
-      e^(2t) = 8.5e-17 of each term, below float64's unit roundoff. So
-      the far keys enter only through their moments
-      M = sum_j phi(k_j) [v_j, 1], phi(k) = [k, 1, k_a k_b (a < b),
-      k_a^2 / 2], and row i's share is [x, 1, x_a x_b (a <= b)] . M
-      e^(-m_i) with x = scale * q_i (the linear attention of
-      Katharopoulos et al. 2020 with the degree-2 feature map of Arora
-      et al. 2024, split near/far as in Greengard & Rokhlin 1987).
+    - heavy rows, too close to pay for a series, run the tiled loop over
+      all keys: blocks of query rows against tiles of ``_ATTN_KEY_TILE``
+      keys, a block holding at most ``_ATTN_BLOCK_ELEMS`` scores over
+      the whole batch so that its scores, keys and values stay in cache
+      at any token count. The scale and the shift ride in the score
+      GEMM through one extra contraction column, [scale * q, -m] @
+      [k^T; 1] = s - m, and row totals are a GEMV against ones;
+    - light rows go, in order of f_i, in chunks of one score block's
+      rows, and a chunk's cut is the least f_i among them: against the
+      near keys past the cut they run the same exact tiles;
+    - against the far keys below the cut they have |s_ij| <= t, where
+      exp(s) = 1 + s + s^2/2 up to t^3/6 * e^(2t) = 2.8e-14 of each
+      term, within the error bound gamma_256 that the tiled loop's own
+      256-term dot products carry.
+      So the far keys enter only through their moments M = sum_j
+      phi(k_j) [v_j, 1], phi(k) = [k, 1, k_a k_b (a < b), k_a^2 / 2],
+      and row i's share is [x, 1, x_a x_b (a <= b)] . M e^(-m_i) with
+      x = scale * q_i (the linear attention of Katharopoulos et al. 2020
+      with the degree-2 feature map of Arora et al. 2024, split near/far
+      as in Greengard & Rokhlin 1987). The cuts grow chunk by chunk, and
+      M grows with them.
 
-    a and b come from ``_far_split``, a flop-count cost model over the
-    sorted norms of each batch element. When no split pays (N = 256,
-    large norms), every row is heavy and, if no batch element splits,
-    the whole batch runs the tiled loop as one. All parts share one
-    buffer of ``_ATTN_BLOCK_ELEMS`` values, so memory is linear in the
-    token count.
+    The rows and cuts come from ``_far_split``, a flop-count cost model
+    over the sorted key norms of each batch element. When no split pays
+    (N = 256, large norms), every row is heavy and, if no batch element
+    splits, the whole batch runs the tiled loop as one. All parts share
+    one buffer of ``_ATTN_BLOCK_ELEMS`` values, so memory is linear in
+    the token count.
 
     A row whose total underflows (below 1e-200: the bound overshoots its
     true max by about 460 or more, which needs extreme logits) or is NaN
@@ -381,15 +405,24 @@ def attention(q, k, v, scale: float) -> Tensor:
     if not any(splits):  # every row heavy: the whole batch in one tiled loop
         _exact_sums(_augment(q.data * scale, -shift), _augment_t(k.data), v.data, buf, out, total)
     else:
-        # an element without a split is all heavy rows and near keys
-        for b, (row_cut, key_cut) in enumerate(s or (-np.inf, -np.inf) for s in splits):
-            light, far = sq[b] <= row_cut, kn[b] <= key_cut
+        # an element without a split is all heavy rows
+        for b, split in enumerate(splits):
+            order, heavy, chunks = split or (None, np.arange(q.shape[1]), ())
             qb, kb, vb, ob, tb = q.data[b], k.data[b], v.data[b], out[b], total[b]
-            moments = _far_moments(kb, vb, np.flatnonzero(far), buf)
-            heavy_rows, light_rows = np.flatnonzero(~light), np.flatnonzero(light)
-            _row_sums(qb, scale, shift[b], heavy_rows, _augment_t(kb), vb, None, buf, ob, tb)
-            kat, vb = _augment_t(kb[~far]), vb[~far]
-            _row_sums(qb, scale, shift[b], light_rows, kat, vb, moments, buf, ob, tb)
+            _row_sums(qb, scale, shift[b], heavy, _augment_t(kb), vb, None, buf, ob, tb)
+            # the chunks' cuts grow, and the far keys' moments with them by
+            # sums that add like the tiled loop's tile sums
+            moments, done = np.zeros((_far_width(c), v.shape[2] + 1)), 0
+            for rows, cut in chunks:
+                if cut > done:
+                    moments += _far_moments(kb, vb, order[done:cut], buf)
+                    done = cut
+                # the keys past the cut, gathered for this chunk alone so
+                # that no gathered copy is alive while moments are built
+                near = order[cut:]
+                kat, vn = _augment_t(kb[near]), vb[near]
+                _row_sums(qb, scale, shift[b], rows, kat, vn, moments, buf, ob, tb)
+                del kat, vn
     # "not >=" also takes a NaN total: the bound is inf * 0 when one
     # norm overflows and the other is zero
     for b, i in zip(*np.nonzero(~(total >= 1e-200))):

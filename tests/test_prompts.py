@@ -216,13 +216,14 @@ def test_attention_matches_composite_chain(monkeypatch, rows, tile):
 
 
 def _split_cuts(q, k, scale):
-    """Per batch element: (light rows, far keys) of the chosen split, or None."""
+    """Per batch element: (light rows, far keys of the largest cut) of the
+    chosen split, or None."""
     sq = abs(scale) * np.linalg.norm(q, axis=-1)
     kn = np.linalg.norm(k, axis=-1)
     cuts = []
     for b in range(q.shape[0]):
         split = prompts._far_split(sq[b], kn[b], k.shape[-1], k.shape[-1])
-        cuts.append(split and (int((sq[b] <= split[0]).sum()), int((kn[b] <= split[1]).sum())))
+        cuts.append(split and (q.shape[1] - split[1].size, int(max(c for _, c in split[2]))))
     return cuts
 
 
@@ -350,9 +351,9 @@ def test_attention_split_matches_long_double_oracle():
     so the forward runs all three parts of the near/far split. Queries
     and keys lie near one direction spanning two axes, the keys' sizes
     are graded and v's first column is their square: so light pairs come
-    within a factor of ~2 of the series' bound, and the quadratic term
-    moves the output coherently (without it by 4.5e-13, without the
-    halved squares by 2.2e-13, both caught by the bound).
+    within 15% of the series' bound, and the quadratic term
+    moves the output coherently (without it by 4.0e-13, without the
+    halved squares by 2.0e-13, both caught by the bound).
 
     The output is within 1e-13 * max|v| of a long-double softmax (not of
     max|out|: the columns of v can cancel), and the gradients, from the
@@ -378,6 +379,36 @@ def test_attention_split_matches_long_double_oracle():
     chain = _attention_chain((q, k, v), w, _composite_attention, scale)
     for grad, want in zip(got[1:], chain[1:]):
         assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_attention_split_chunks_light_rows_with_growing_cuts_within_the_bound():
+    """(1, 4096, 32) with graded query and key sizes and 2% heavy rows:
+    light rows go in chunks of one score block's rows in order of their
+    far-key counts, and each chunk's cut is the least count among its
+    rows. So cuts grow from chunk to chunk, every pair a chunk sends
+    through the series has its norm bound within t, and the output is
+    within 1e-13 * max|v| of the tiled loop's."""
+    rng = np.random.default_rng(16)
+    n, c = 4096, 32
+    q, k = rng.standard_normal((2, 1, n, c)) * rng.uniform(0.0, 8e-3, (2, 1, n, 1))
+    q[0, rng.choice(n, n // 50, replace=False)] *= 100.0
+    v = rng.standard_normal((1, n, c))
+    scale = 1.0 / np.sqrt(c)
+    sq = scale * np.linalg.norm(q[0], axis=-1)
+    kn = np.linalg.norm(k[0], axis=-1)
+    order, heavy, chunks = prompts._far_split(sq, kn, c, c)
+    cuts = [cut for _, cut in chunks]
+    assert len(set(cuts)) > 5 and cuts == sorted(cuts)
+    assert heavy.size >= n // 50
+    rows = np.concatenate([heavy] + [r for r, _ in chunks])
+    assert np.array_equal(np.sort(rows), np.arange(n))
+    for r, cut in chunks:
+        assert r.size <= prompts._block_shape(1, n, n)[0]
+        # the certificate is the norm bound, not the score, which is smaller
+        assert sq[r].max() * kn[order[:cut]].max() <= prompts._FAR_BOUND
+    out, _ = _out_and_lse(q, k, v, scale)
+    tiled, _ = _tiled_loop(q, k, v, scale)
+    assert np.abs(out - tiled).max() <= 1e-13 * np.abs(v).max()
 
 
 @pytest.mark.parametrize(
