@@ -307,12 +307,17 @@ def asf_ssm_forward(
 ) -> Tensor:
     """One prompt-guided scan module over a (B, N, C) token sequence.
 
-    Pipeline: a gated projection packs per-token scan gates and routing
-    logits, the router picks spatial prompts from the pool, spectral
-    attention contributes the global prompt, both fuse into the output
-    gate, and the recurrence runs along the semantic token order. A
-    layer norm plus linear head closes the module. ``trace`` collects
-    copies of the published intermediates for fixture comparison.
+    Pipeline: spectral attention over ``x`` gives the global prompt, a
+    gated projection packs per-token scan gates and routing logits, the
+    router picks spatial prompts from the pool, both prompts fuse into
+    the output gate, and the recurrence runs along the semantic token
+    order. A layer norm plus linear head closes the module. The global
+    prompt reads only ``x``, so it runs first, while nothing else is
+    alive; the projection and the routing live in ``_scan_operands``, so
+    that without a tape every intermediate dies after its last reader and
+    only the scan's own operands are alive during the scan. ``trace``
+    collects copies of the published intermediates for fixture
+    comparison.
     """
     mode = mode or ForwardMode()
     x = astensor(x)
@@ -323,9 +328,47 @@ def asf_ssm_forward(
     if x.shape[1] != h * w:
         raise DimensionError(f"token count {x.shape[1]} does not factor as {h}x{w}")
 
-    trunk = silu(matmul(x, mp.w_mlp) + mp.b_mlp)
-    x_in = matmul(trunk, mp.w_in) + mp.b_in
-    ssm, split_logits = derive_ssm_params(
+    y = selective_scan(x, *_scan_operands(x, mp, cfg, h, w, mode, trace), trace=trace)
+    out = matmul(layer_norm(y, mp.ln_g, mp.ln_b), mp.w_out) + mp.b_out
+    if trace is not None:
+        trace["out"] = out.data.copy()
+    return out
+
+
+def _scan_operands(x, mp, cfg, h, w, mode, trace):
+    """The scan gates, the fused prompt and the semantic order of one
+    module, as ``selective_scan``'s arguments after ``x``."""
+    if cfg.prompts == "off":
+        ssm, _ = _scan_gates(x, mp, cfg, trace)
+        return ssm, Tensor(np.zeros_like(x.data)), None
+    p_global = global_prompt(x, h, w, mp.attn, features=cfg.spectral_features)
+    ssm, split_logits = _scan_gates(x, mp, cfg, trace)
+    if cfg.router == "split":
+        logits = split_logits
+    else:
+        hidden = silu(matmul(x, mp.w_route1) + mp.b_route1)
+        logits = matmul(hidden, mp.w_route2) + mp.b_route2
+    route = route_tokens(logits, mp.pool, mode.train, route_mode=mode.route)
+    p_spatial = gather_spatial_prompt(route, mp.pool)
+    p_fused = fuse_prompts(p_spatial, p_global)
+    order = semantic_order(route) if mode.route == "hard" else None
+    if trace is not None:
+        trace["route"] = route.data.copy()
+        trace["p_spatial"] = p_spatial.data.copy()
+        trace["p_global"] = p_global.data.copy()
+        trace["p_fused"] = p_fused.data.copy()
+        trace["perm"] = None if order is None else order.perm.copy()
+    return ssm, p_fused, order
+
+
+def _scan_gates(x, mp, cfg, trace):
+    """The scan gates and the router's split logits from the gated
+    projection of ``x``. The trunk dies once projected, and the packed
+    projection on return."""
+    x_in = matmul(silu(matmul(x, mp.w_mlp) + mp.b_mlp), mp.w_in) + mp.b_in
+    if trace is not None:
+        trace["x_in"] = x_in.data.copy()
+    return derive_ssm_params(
         x_in,
         cfg.channels,
         cfg.pool_size,
@@ -334,35 +377,6 @@ def asf_ssm_forward(
         b_delta=mp.b_delta,
         mode=cfg.discretization,
     )
-
-    if cfg.prompts == "off":
-        p_fused = Tensor(np.zeros_like(x.data))
-        order = None
-        route = None
-    else:
-        if cfg.router == "split":
-            logits = split_logits
-        else:
-            hidden = silu(matmul(x, mp.w_route1) + mp.b_route1)
-            logits = matmul(hidden, mp.w_route2) + mp.b_route2
-        route = route_tokens(logits, mp.pool, mode.train, route_mode=mode.route)
-        p_spatial = gather_spatial_prompt(route, mp.pool)
-        p_global = global_prompt(x, h, w, mp.attn, features=cfg.spectral_features)
-        p_fused = fuse_prompts(p_spatial, p_global)
-        order = semantic_order(route) if mode.route == "hard" else None
-        if trace is not None:
-            trace["route"] = route.data.copy()
-            trace["p_spatial"] = p_spatial.data.copy()
-            trace["p_global"] = p_global.data.copy()
-            trace["p_fused"] = p_fused.data.copy()
-            trace["perm"] = None if order is None else order.perm.copy()
-
-    y = selective_scan(x, ssm, p_fused, order, trace=trace)
-    out = matmul(layer_norm(y, mp.ln_g, mp.ln_b), mp.w_out) + mp.b_out
-    if trace is not None:
-        trace["x_in"] = x_in.data.copy()
-        trace["out"] = out.data.copy()
-    return out
 
 
 def asf_ssb_forward(

@@ -409,7 +409,8 @@ def attention(q, k, v, scale: float) -> Tensor:
         for b, split in enumerate(splits):
             order, heavy, chunks = split or (None, np.arange(q.shape[1]), ())
             qb, kb, vb, ob, tb = q.data[b], k.data[b], v.data[b], out[b], total[b]
-            _row_sums(qb, scale, shift[b], heavy, _augment_t(kb), vb, None, buf, ob, tb)
+            if heavy.size:  # else no [k, 1] copy of all keys is built
+                _row_sums(qb, scale, shift[b], heavy, _augment_t(kb), vb, None, buf, ob, tb)
             # the chunks' cuts grow, and the far keys' moments with them by
             # sums that add like the tiled loop's tile sums
             moments, done = np.zeros((_far_width(c), v.shape[2] + 1)), 0

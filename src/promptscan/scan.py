@@ -32,10 +32,13 @@ in a (an underflowed zoh decay) stay exact and negative multipliers
 to a non-finite state although every decay and input is finite raises
 ``NumericalConsistencyError`` rather than passing NaN on.
 
-The semantic token order lives inside the same node: it gathers x, a,
-b and c into scan order with the permutation, and the output and the
-four cotangents back with its inverse, so reordering records no tape
-nodes of its own.
+The semantic token order lives inside the same node, so reordering
+records no tape nodes of its own. Only the two recurrences run in scan
+order: the forward gathers a and b * x with the permutation, and the
+vjp a and G * c from the node's parents. Everything else is formed in
+token order against the states and adjoints gathered back with the
+inverse (y = c * h there, and dx = lam * b, ...), so the node keeps
+only h and no scan-order copy of an operand outlives the call.
 
 Causality of the bare recurrence is structural: y[t] never reads x[s]
 for s > t, hence dy[t]/dx[s] is exactly zero there. The only way later
@@ -90,7 +93,10 @@ def _linear_scan(a, u):
 
 
 def _gather(a, idx):
-    """out[b, t] = a[b, idx[b, t]]: a per-batch-row gather along axis 1."""
+    """out[b, t] = a[b, idx[b, t]]: a per-batch-row gather along axis 1;
+    ``a`` itself when ``idx`` is None (no reordering)."""
+    if idx is None:
+        return a
     return a[np.arange(a.shape[0])[:, None], idx]
 
 
@@ -100,10 +106,11 @@ def gated_recurrence(
     """The raw scan: all operands (B, N, C), returns y of the same shape.
 
     With an ``order`` the recurrence visits the tokens in the order
-    ``order.perm``: the node gathers the operands into that order and the
-    output and every cotangent back, so y[:, t] belongs to input token t.
-    Passing a dict as ``trace`` stores copies of the scan-order state
-    trajectory ``h`` and gated output ``y`` for inspection.
+    ``order.perm``, and y[:, t] still belongs to input token t: the
+    recurrences gather their inputs into scan order and their states
+    back, and the node keeps only the scan-order states. Passing a dict
+    as ``trace`` stores copies of the scan-order state trajectory ``h``
+    and gated output ``y`` for inspection.
     """
     x, a, b, c = astensor(x), astensor(a), astensor(b), astensor(c)
     if x.ndim != 3:
@@ -113,36 +120,30 @@ def gated_recurrence(
             raise DimensionError(
                 f"scan operand {name} has shape {tuple(t.shape)}, input is {tuple(x.shape)}"
             )
-    if order is None:
-        xs, As, bs, cs = x.data, a.data, b.data, c.data
-    else:
+    perm = inv = None
+    if order is not None:
         if order.perm.shape != x.shape[:2] or order.inv_perm.shape != x.shape[:2]:
             raise DimensionError(
                 f"permutation shape {order.perm.shape} does not match tokens {x.shape[:2]}"
             )
-        xs, As, bs, cs = (_gather(t.data, order.perm) for t in (x, a, b, c))
-
-    h = _linear_scan(As, bs * xs)
-    y = cs * h
+        perm, inv = order.perm, order.inv_perm
+    h = _linear_scan(_gather(a.data, perm), _gather(b.data * x.data, perm))
+    y = c.data * _gather(h, inv)
     if trace is not None:
         trace["h"] = h.copy()
-        trace["y"] = y.copy()
+        trace["y"] = _gather(c.data, perm) * h
 
     def vjp(g):
-        if order is not None:
-            g = _gather(g, order.perm)
-        a_next = np.zeros_like(As)
-        a_next[:, :-1] = As[:, 1:]
-        lam = _linear_scan(a_next[:, ::-1], (g * cs)[:, ::-1])[:, ::-1]
+        # only the adjoint recurrence runs in scan order; each cotangent is
+        # its scan-order product gathered back, formed in token order
+        a_next = np.zeros_like(h)
+        a_next[:, :-1] = _gather(a.data, perm)[:, 1:]
+        lam = _linear_scan(a_next[:, ::-1], _gather(g * c.data, perm)[:, ::-1])[:, ::-1]
         da = np.zeros_like(lam)
         da[:, 1:] = lam[:, 1:] * h[:, :-1]
-        grads = (lam * bs, da, lam * xs, g * h)
-        if order is None:
-            return grads
-        return tuple(_gather(t, order.inv_perm) for t in grads)
+        lam = _gather(lam, inv)
+        return lam * b.data, _gather(da, inv), lam * x.data, g * _gather(h, inv)
 
-    if order is not None:
-        y = _gather(y, order.inv_perm)
     return Tensor._from_op(y, (x, a, b, c), vjp)
 
 

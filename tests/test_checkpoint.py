@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,18 +197,15 @@ def test_eval_forward_on_loaded_parameters_records_no_tape(tmp_path):
     assert free.data.tobytes() == tracked.data.tobytes()
 
 
-def test_desk_forward_on_loaded_parameters_fits_without_a_tape(tmp_path):
+def test_desk_forward_on_loaded_parameters_fits_without_a_tape(tmp_path, traced_peak):
     # at 32^2 LR the tracked forward peaks near 65 MiB, the untracked one
     # near 20 MiB
     cfg = desk_config()
     _, loaded = _saved_and_loaded(tmp_path, cfg)
     x = Tensor(np.random.default_rng(0).uniform(0, 255, (1, 1, 32, 32)))
-    tracemalloc.start()
-    try:
-        out = model_forward(x, loaded, cfg, ForwardMode(train=False, route="hard"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(
+        lambda: model_forward(x, loaded, cfg, ForwardMode(train=False, route="hard"))
+    )
     assert out.shape == (1, 1, 32 * cfg.scale, 32 * cfg.scale)
     assert peak < 32 * 2**20, peak / 2**20
 

@@ -143,6 +143,40 @@ def test_hard_route_module_records_one_node_per_norm_and_scan():
     assert nodes == 49 - 13
 
 
+def test_untracked_module_holds_each_intermediate_only_until_its_last_reader(traced_peak):
+    """(1, 4096, 32) without a tape: the global prompt runs while nothing
+    else is alive, the projection and routing die before the scan, and
+    the scan gathers only a and b * x, so the module peaks at or below
+    12 (N, C) float64 arrays (12 MiB). Keeping every intermediate until
+    the module returned peaked at 20 MiB."""
+    cfg = desk_config()
+    params = build_model(cfg)
+    for t in named_parameters(params).values():
+        t.requires_grad = False
+    h = w = 64
+    x = Tensor(np.random.default_rng(12).standard_normal((1, h * w, cfg.channels)))
+    out, peak = traced_peak(lambda: asf_ssm_forward(x, params.blocks[0].modules[0], cfg, h, w))
+    assert out._parents == ()
+    assert peak <= 12 * x.data.nbytes, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_traced_module_publishes_the_scan_in_scan_order():
+    cfg = desk_config()
+    mp = build_model(cfg).blocks[0].modules[0]
+    x = Tensor(np.random.default_rng(13).standard_normal((2, 64, cfg.channels)))
+    trace = {}
+    out = asf_ssm_forward(x, mp, cfg, 8, 8, trace=trace)
+    assert set(trace) == {
+        "x_in", "route", "p_spatial", "p_global", "p_fused", "perm",
+        "c_s", "h", "y", "y_tokens", "out",
+    }
+    perm = trace["perm"][..., None]
+    assert np.any(perm[..., 0] != np.arange(64))
+    assert trace["y"].tobytes() == (trace["c_s"] * trace["h"]).tobytes()
+    assert trace["y"].tobytes() == np.take_along_axis(trace["y_tokens"], perm, 1).tobytes()
+    assert trace["out"].tobytes() == out.data.tobytes()
+
+
 def test_module_rejects_bad_token_shapes():
     cfg = desk_config(**TINY)
     mp = build_model(cfg).blocks[0].modules[0]

@@ -453,7 +453,7 @@ def test_attention_splits_each_batch_element_on_its_own():
         assert np.abs(out[b] - tiled[0][0]).max() <= 1e-13 * np.abs(v[b]).max()
 
 
-def test_attention_split_stays_within_one_score_tile_and_the_augmented_operands():
+def test_attention_split_stays_within_one_score_tile_and_the_augmented_operands(traced_peak):
     """(1, 4096, 32) with the split engaged: the transient peak has the
     same bound as the tiled loop's (see the test below), because all
     three parts share one score-sized buffer and the split builds no
@@ -464,30 +464,20 @@ def test_attention_split_stays_within_one_score_tile_and_the_augmented_operands(
     scale = 1.0 / np.sqrt(c)
     assert _split_cuts(q, k, scale)[0] is not None
     q, k, v = Tensor(q), Tensor(k), Tensor(v)
-    tracemalloc.start()
-    try:
-        out = attention(q, k, v, scale)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: attention(q, k, v, scale))
     kept = out.data.nbytes + n * 8
     augmented = 2 * n * (c + 1) * 8
     scores = prompts._ATTN_BLOCK_ELEMS * 8
     assert peak - kept <= scores + augmented + 2**19, f"peak {peak / 2**20:.2f} MiB"
 
 
-def test_attention_score_block_counts_the_batch():
+def test_attention_score_block_counts_the_batch(traced_peak):
     """(4, 1024, 32): one tile holds at most ``_ATTN_BLOCK_ELEMS`` scores
     (2**16, 512 KiB) over all four images, not that many per image."""
     rng = np.random.default_rng(9)
     bsz, n, c = 4, 1024, 32
     q, k, v = (Tensor(rng.standard_normal((bsz, n, c))) for _ in range(3))
-    tracemalloc.start()
-    try:
-        out = attention(q, k, v, 1.0 / np.sqrt(c))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: attention(q, k, v, 1.0 / np.sqrt(c)))
     kept = out.data.nbytes + bsz * n * 8  # out and the per-row log-sum-exp
     augmented = 2 * bsz * n * (c + 1) * 8  # [scale * q, -m] and [k, 1]
     scores = prompts._ATTN_BLOCK_ELEMS * 8
@@ -512,7 +502,7 @@ def test_attention_node_keeps_only_its_output_and_log_sum_exp():
     assert grown <= out.data.nbytes + n * 8 + 2**16, f"grew {grown / 2**10:.0f} KiB"
 
 
-def test_untracked_global_prompt_frees_the_spectrum_before_attention(monkeypatch):
+def test_untracked_global_prompt_frees_the_spectrum_before_attention(monkeypatch, traced_peak):
     """(1, 4096, 32): only q, k and v (3 MiB) are live when attention
     starts; the spectrum planes and features (4 MiB) are already freed."""
     rng = np.random.default_rng(11)
@@ -529,12 +519,7 @@ def test_untracked_global_prompt_frees_the_spectrum_before_attention(monkeypatch
         return attention(*args)
 
     monkeypatch.setattr(prompts, "attention", spy)
-    tracemalloc.start()
-    try:
-        global_prompt(x, h, w, params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: global_prompt(x, h, w, params))
     qkv = 3 * n * c * 8
     assert live[0] <= qkv + 2**18, f"live at attention {live[0] / 2**20:.2f} MiB"
     assert peak <= 9 * 2**20, f"peak {peak / 2**20:.2f} MiB"
@@ -548,8 +533,8 @@ def test_attention_rejects_mismatched_operands():
         attention(q, q, Tensor(np.zeros((1, 5, 3))), 1.0)
 
 
-def _global_prompt_at_128_grid(weights):
-    """Run global_prompt at N = 16384, C = 8 under tracemalloc with
+def _global_prompt_at_128_grid(traced_peak, weights):
+    """Run global_prompt at N = 16384, C = 8 under ``traced_peak`` with
     projection weights drawn by ``weights(rng, shape)``. Check its peak,
     and 8 random rows (plus 8 light rows when the call splits) against a
     dense softmax. Returns the call's split cuts."""
@@ -562,12 +547,7 @@ def _global_prompt_at_128_grid(weights):
         wk=Tensor(weights(rng, (2 * c, c))),
         wv=Tensor(weights(rng, (2 * c, c))),
     )
-    tracemalloc.start()
-    try:
-        out = global_prompt(Tensor(x), h, w, params).data
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: global_prompt(Tensor(x), h, w, params).data)
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     assert out.shape == (1, n, c)
     assert np.all(np.isfinite(out))
@@ -589,16 +569,17 @@ def _global_prompt_at_128_grid(weights):
     return cuts
 
 
-def test_global_prompt_at_128_grid_stays_under_memory_cap():
+def test_global_prompt_at_128_grid_stays_under_memory_cap(traced_peak):
     """N = 16384: one copy of the full score matrix alone would be 2 GiB."""
-    _global_prompt_at_128_grid(lambda rng, shape: rng.standard_normal(shape))
+    _global_prompt_at_128_grid(traced_peak, lambda rng, shape: rng.standard_normal(shape))
 
 
-def test_global_prompt_at_128_grid_with_checkpoint_weights_splits_under_memory_cap():
+def test_global_prompt_at_128_grid_with_checkpoint_weights_splits_under_memory_cap(traced_peak):
     """The same with weights at checkpoint scale, +-1/sqrt(fan_in): now
     the rows and keys of smallest norm pair within the series' bound,
     and the near/far split engages."""
     cuts = _global_prompt_at_128_grid(
+        traced_peak,
         lambda rng, shape: rng.uniform(-1.0, 1.0, shape) / np.sqrt(shape[0])
     )
     assert cuts is not None and cuts[0] >= 8 and cuts[1] >= 8

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -225,16 +223,11 @@ def test_conv2d_output_and_both_gradients_match_tap_loops(b, cin, cout, h, w, kh
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_conv2d_forward_builds_no_window_copy():
+def test_conv2d_forward_builds_no_window_copy(traced_peak):
     # input and frame are 4 MiB each; a 3x3 window copy of the input would be 36 MiB
     x = Tensor(np.random.default_rng(0).standard_normal((1, 32, 128, 128)))
     k = Tensor(np.random.default_rng(1).standard_normal((1, 32, 3, 3)))
-    tracemalloc.start()
-    try:
-        conv2d(x, k, pad=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: conv2d(x, k, pad=1))
     assert peak < 16 * 2**20, f"forward peak {peak / 2**20:.1f} MiB"
 
 
