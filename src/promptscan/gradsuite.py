@@ -73,6 +73,7 @@ from .tensor import (
     exp,
     finite_diff_grad,
     layer_norm,
+    linear,
     log,
     pixel_shuffle,
     relu,
@@ -257,6 +258,18 @@ def _mk_matmul(rng, _i):
     return forward, [a, b, c]
 
 
+def _mk_linear(rng, _i):
+    a = _leaf(rng, (2, 3, 4))
+    w = _leaf(rng, (4, 5))
+    b = _leaf(rng, (5,))
+    wt = _w(rng, (2, 3, 5))
+
+    def forward():
+        return _wsum(linear(a, w, b), wt)
+
+    return forward, [a, w, b]
+
+
 def _mk_softmax(rng, _i):
     x = _leaf(rng, (2, 3, 5), -3.0, 3.0)
     w = _w(rng, (2, 3, 5))
@@ -283,12 +296,13 @@ def _mk_conv2d(rng, i):
     ksize = (1, 3, 5)[i % 3]
     x = _leaf(rng, (2, 3, 6, 7))
     k = _leaf(rng, (4, 3, ksize, ksize), -0.5, 0.5)
+    b = _leaf(rng, (4,))
     w = _w(rng, (2, 4, 6, 7))
 
     def forward():
-        return _wsum(conv2d(x, k, pad=(ksize - 1) // 2), w)
+        return _wsum(conv2d(x, k, (ksize - 1) // 2, b), w)
 
-    return forward, [x, k]
+    return forward, [x, k, b]
 
 
 def _mk_shuffle(rng, _i):
@@ -552,6 +566,7 @@ _CHECKS = (
     ("abs-clamp", _mk_abs_clamp, _PRIMITIVE),
     ("trig-atan2-hypot", _mk_trig, _PRIMITIVE),
     ("matmul", _mk_matmul, _PRIMITIVE),
+    ("linear", _mk_linear, _PRIMITIVE),
     ("softmax", _mk_softmax, _PRIMITIVE),
     ("layer-norm", _mk_layer_norm, _PRIMITIVE),
     ("conv2d", _mk_conv2d, _PRIMITIVE),

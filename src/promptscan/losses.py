@@ -31,7 +31,6 @@ from .tensor import (
     conv2d,
     cos,
     relu,
-    reshape,
     sigmoid,
     sin,
     tmean,
@@ -108,9 +107,9 @@ def thermal_mask(hr, gate_k: Tensor, gate_b: Tensor, extractor: FeatureExtractor
         )
     feat = Tensor(hr.data * (1.0 / 255.0))
     for k, b in zip(extractor.kernels, extractor.biases):
-        feat = relu(conv2d(feat, Tensor(k), pad=1) + Tensor(b.reshape(1, -1, 1, 1)))
+        feat = relu(conv2d(feat, k, 1, b))
         feat = feat[:, :, ::2, ::2]
-    gate = conv2d(feat, gate_k, pad=0) + reshape(gate_b, (1, -1, 1, 1))
+    gate = conv2d(feat, gate_k, 0, gate_b)
     m = resample(sigmoid(gate), h, w, kind="linear", antialias=False)
     return ThermalMask(m=m, source=extractor.source)
 

@@ -36,7 +36,7 @@ from .prompts import (
 from .resize import resample
 from .scan import (
     derive_ssm_params,
-    selective_scan,
+    prompted_scan,
     semantic_order,
     stable_a_log_init,
 )
@@ -45,7 +45,7 @@ from .tensor import (
     astensor,
     conv2d,
     layer_norm,
-    matmul,
+    linear,
     pixel_shuffle,
     reshape,
     silu,
@@ -292,8 +292,7 @@ def named_parameters(params: ModelParams) -> dict:
 
 
 def _conv(x, k, b):
-    pad = (k.shape[-1] - 1) // 2
-    return conv2d(x, k, pad) + reshape(b, (1, -1, 1, 1))
+    return conv2d(x, k, (k.shape[-1] - 1) // 2, b)
 
 
 def asf_ssm_forward(
@@ -328,26 +327,28 @@ def asf_ssm_forward(
     if x.shape[1] != h * w:
         raise DimensionError(f"token count {x.shape[1]} does not factor as {h}x{w}")
 
-    y = selective_scan(x, *_scan_operands(x, mp, cfg, h, w, mode, trace), trace=trace)
-    out = matmul(layer_norm(y, mp.ln_g, mp.ln_b), mp.w_out) + mp.b_out
+    y = prompted_scan(x, *_scan_operands(x, mp, cfg, h, w, mode, trace), trace=trace)
+    out = linear(layer_norm(y, mp.ln_g, mp.ln_b), mp.w_out, mp.b_out)
     if trace is not None:
         trace["out"] = out.data.copy()
     return out
 
 
 def _scan_operands(x, mp, cfg, h, w, mode, trace):
-    """The scan gates, the fused prompt and the semantic order of one
-    module, as ``selective_scan``'s arguments after ``x``."""
+    """The decay, the input gate, the prompted output gate c_raw + p_fused
+    and the semantic order of one module, as ``prompted_scan``'s
+    arguments after ``x``. The timescale, c_raw and the prompts die on
+    return."""
     if cfg.prompts == "off":
         ssm, _ = _scan_gates(x, mp, cfg, trace)
-        return ssm, Tensor(np.zeros_like(x.data)), None
+        return ssm.a_decay, ssm.b_in, ssm.c_raw, None
     p_global = global_prompt(x, h, w, mp.attn, features=cfg.spectral_features)
     ssm, split_logits = _scan_gates(x, mp, cfg, trace)
     if cfg.router == "split":
         logits = split_logits
     else:
-        hidden = silu(matmul(x, mp.w_route1) + mp.b_route1)
-        logits = matmul(hidden, mp.w_route2) + mp.b_route2
+        hidden = silu(linear(x, mp.w_route1, mp.b_route1))
+        logits = linear(hidden, mp.w_route2, mp.b_route2)
     route = route_tokens(logits, mp.pool, mode.train, route_mode=mode.route)
     p_spatial = gather_spatial_prompt(route, mp.pool)
     p_fused = fuse_prompts(p_spatial, p_global)
@@ -358,14 +359,14 @@ def _scan_operands(x, mp, cfg, h, w, mode, trace):
         trace["p_global"] = p_global.data.copy()
         trace["p_fused"] = p_fused.data.copy()
         trace["perm"] = None if order is None else order.perm.copy()
-    return ssm, p_fused, order
+    return ssm.a_decay, ssm.b_in, ssm.c_raw + p_fused, order
 
 
 def _scan_gates(x, mp, cfg, trace):
     """The scan gates and the router's split logits from the gated
     projection of ``x``. The trunk dies once projected, and the packed
     projection on return."""
-    x_in = matmul(silu(matmul(x, mp.w_mlp) + mp.b_mlp), mp.w_in) + mp.b_in
+    x_in = linear(silu(linear(x, mp.w_mlp, mp.b_mlp)), mp.w_in, mp.b_in)
     if trace is not None:
         trace["x_in"] = x_in.data.copy()
     return derive_ssm_params(

@@ -15,15 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-from .fft import fft2d
-from .tensor import (
-    Tensor,
-    astensor,
-    matmul,
-    reshape,
-    softmax,
-    transpose,
-)
+from .fft import spectral_features
+from .tensor import Tensor, astensor, matmul, softmax
 
 # keys per attention tile, and score elements per (query block x key
 # tile) over the whole batch: 2**16 float64 values, 512 KiB, so that a
@@ -496,26 +489,11 @@ def global_prompt(
 def _spectral_qkv(x: Tensor, h: int, w: int, params: GlobalPromptParams, features: str):
     """Q, K and V projections of the spectral features of ``x``.
 
-    A function of its own so that the spectrum and the features, when
-    no tape holds them, are freed before attention runs.
+    A function of its own so that the features, when no tape holds
+    them, are freed before attention runs.
     """
-    bsz, n, c = x.shape
-    if h * w != n:
-        raise DimensionError(f"token count {n} does not factor as {h}x{w}")
-    if features not in ("reim", "magnitude"):
-        raise ConfigError(f"unknown spectral feature mode {features!r}")
-
-    grid = transpose(reshape(x, (bsz, h, w, c)), (0, 3, 1, 2))
-    spec = fft2d(grid)
-
-    if features == "reim":
-        # (B, C, H, W, 2) -> (B, H, W, 2, C): per token, all real parts
-        # then all imaginary parts
-        feats = reshape(transpose(spec.planes, (0, 2, 3, 4, 1)), (bsz, n, 2 * c))
-    else:
-        feats = reshape(transpose(spec.magnitude(), (0, 2, 3, 1)), (bsz, n, c))
-    feats = feats * (1.0 / n)
-
+    c = x.shape[-1]
+    feats = spectral_features(x, h, w, features)
     fdim = feats.shape[-1]
     for name, m in (("wq", params.wq), ("wk", params.wk), ("wv", params.wv)):
         if m.shape != (fdim, c):

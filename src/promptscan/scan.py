@@ -62,15 +62,25 @@ from .tensor import Tensor, astensor, exp, matmul, neg, softplus
 
 
 def _linear_scan(a, u):
-    """States of h[t] = a[t] * h[t-1] + u[t] along axis 1 of (B, N, C), h[-1] = 0."""
+    """States of h[t] = a[t] * h[t-1] + u[t] along axis 1 of (B, N, C), h[-1] = 0.
+
+    The caller hands over ``a`` and ``u``: when N is a whole number of
+    chunks the scan runs in place on them (``a`` ends as running decay
+    products, and the states returned are ``u``'s memory); otherwise
+    both are copied into padded buffers.
+    """
     bsz, n, ch = u.shape
     size = math.isqrt(max(n - 1, 0)) + 1
     m = -(-n // size)
-    # padding with a = 1, u = 0 sits after the last token, so it changes nothing
-    prod = np.ones((bsz, m * size, ch))
-    h = np.zeros((bsz, m * size, ch))
-    prod[:, :n] = a
-    h[:, :n] = u
+    finite = np.isfinite(a).all() and np.isfinite(u).all()
+    if m * size == n:
+        prod, h = a, u
+    else:
+        # padding with a = 1, u = 0 sits after the last token, so it changes nothing
+        prod = np.ones((bsz, m * size, ch))
+        h = np.zeros((bsz, m * size, ch))
+        prod[:, :n] = a
+        h[:, :n] = u
     prod = prod.reshape(bsz, m, size, ch)
     h = h.reshape(bsz, m, size, ch)
     for i in range(1, size):
@@ -84,7 +94,7 @@ def _linear_scan(a, u):
             np.copyto(prod[:, j], 0.0, where=carry == 0.0)
         h[:, j] += prod[:, j] * carry
     h = h.reshape(bsz, m * size, ch)[:, :n]
-    if not np.isfinite(h).all() and np.isfinite(a).all() and np.isfinite(u).all():
+    if finite and not np.isfinite(h).all():
         raise NumericalConsistencyError(
             "scan states are not finite although the decays and inputs are: "
             "a running product of decays overflowed"
@@ -127,7 +137,10 @@ def gated_recurrence(
                 f"permutation shape {order.perm.shape} does not match tokens {x.shape[:2]}"
             )
         perm, inv = order.perm, order.inv_perm
-    h = _linear_scan(_gather(a.data, perm), _gather(b.data * x.data, perm))
+    # the scan overwrites its inputs, so a is copied even when not gathered
+    a_scan = a.data.copy() if perm is None else _gather(a.data, perm)
+    h = _linear_scan(a_scan, _gather(b.data * x.data, perm))
+    del a_scan  # now running decay products, which nothing reads
     y = c.data * _gather(h, inv)
     if trace is not None:
         trace["h"] = h.copy()
@@ -264,12 +277,8 @@ def selective_scan(
 ) -> Tensor:
     """Run the recurrence along the semantic order with a prompted output gate.
 
-    The output gate is c_raw + p_fused per token. The recurrence node
-    visits the tokens in scan order and returns them in input order, so
-    output token t corresponds to input token t. A ``trace``
-    dict, when given, receives the scan-order gate ("c_s"), the state
-    trajectory ("h"), the scan-order outputs ("y") and the restored
-    outputs ("y_tokens").
+    The output gate is c_raw + p_fused per token; the rest is
+    :func:`prompted_scan`.
     """
     x, p_fused = astensor(x), astensor(p_fused)
     for name, t in (
@@ -283,8 +292,28 @@ def selective_scan(
             raise DimensionError(
                 f"scan operand {name} has shape {tuple(t.shape)}, input is {tuple(x.shape)}"
             )
-    c_s = p.c_raw + p_fused
-    y = gated_recurrence(x, p.a_decay, p.b_in, c_s, trace=trace, order=order)
+    return prompted_scan(x, p.a_decay, p.b_in, p.c_raw + p_fused, order, trace)
+
+
+def prompted_scan(
+    x: Tensor,
+    a_decay: Tensor,
+    b_in: Tensor,
+    c_s: Tensor,
+    order: SemanticOrder | None = None,
+    trace: dict | None = None,
+) -> Tensor:
+    """The recurrence with output gate ``c_s`` (c_raw + p_fused), along ``order``.
+
+    The recurrence node visits the tokens in scan order and returns them
+    in input order, so output token t corresponds to input token t. The
+    network passes the gate it fused, so that while the recurrence runs
+    nothing holds the timescale, c_raw or the prompts. A ``trace`` dict,
+    when given, receives the scan-order gate ("c_s"), the state
+    trajectory ("h"), the scan-order outputs ("y") and the restored
+    outputs ("y_tokens").
+    """
+    y = gated_recurrence(x, a_decay, b_in, c_s, trace=trace, order=order)
     if trace is not None:
         trace["c_s"] = c_s.data.copy() if order is None else _gather(c_s.data, order.perm)
         trace["y_tokens"] = y.data.copy()

@@ -285,29 +285,50 @@ def relu(a) -> Tensor:
     )
 
 
-def _stable_sigmoid(x):
-    """(e^-|x|, sigmoid(x)); the sigmoid never exponentiates a positive number."""
-    e = np.exp(-np.abs(x))
-    return e, np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _exp_neg_abs(x):
+    """e^-|x|, in one new array."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
+def _sigmoid(x):
+    """Logistic of a plain array, exp(min(x, 0)) / (1 + e^-|x|): neither
+    exponent is positive, and for x < 0 both are exp(x), as in the
+    two-branch form e^x / (1 + e^x)."""
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
+    den = _exp_neg_abs(x)
+    den += 1.0
+    out /= den
+    return out
 
 
 def sigmoid(a) -> Tensor:
     a = astensor(a)
-    _, out = _stable_sigmoid(a.data)
+    out = _sigmoid(a.data)
     return Tensor._from_op(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def softplus(a) -> Tensor:
-    """log(1 + e^x), computed stably; derivative is the sigmoid."""
+    """log(1 + e^x), computed stably; its derivative, the sigmoid, is
+    formed in the vjp, so the node keeps no array of its own."""
     a = astensor(a)
-    e, sig = _stable_sigmoid(a.data)
-    out = np.maximum(a.data, 0.0) + np.log1p(e)
-    return Tensor._from_op(out, (a,), lambda g: (g * sig,))
+    out = np.maximum(a.data, 0.0)
+    out += np.log1p(_exp_neg_abs(a.data))
+    return Tensor._from_op(out, (a,), lambda g: (g * _sigmoid(a.data),))
 
 
 def silu(a) -> Tensor:
+    """x * sigmoid(x), one node. The vjp adds the two terms of the
+    product rule in the order the product's own nodes would."""
     a = astensor(a)
-    return mul(a, sigmoid(a))
+    s = _sigmoid(a.data)
+
+    def vjp(g):
+        return (g * s + g * a.data * s * (1.0 - s),)
+
+    return Tensor._from_op(a.data * s, (a,), vjp)
 
 
 def atan2(y, x) -> Tensor:
@@ -425,6 +446,32 @@ def matmul(a, b) -> Tensor:
     return Tensor._from_op(out, (a, b), vjp)
 
 
+def linear(a, w, b) -> Tensor:
+    """``a @ w + b``, one node: the bias is added in place on the product.
+
+    Every value and gradient is the one ``matmul(a, w) + b`` gives.
+    """
+    a, w, b = astensor(a), astensor(w), astensor(b)
+    if a.ndim < 2 or w.ndim != 2 or b.shape != (w.shape[1],):
+        raise DimensionError(
+            f"linear needs a @ (C, D) + (D,), got {tuple(a.shape)}, "
+            f"{tuple(w.shape)} and {tuple(b.shape)}"
+        )
+    if a.shape[-1] != w.shape[0]:
+        raise DimensionError(
+            f"linear inner dimensions differ: {tuple(a.shape)} vs {tuple(w.shape)}"
+        )
+    out = a.data @ w.data
+    out += b.data
+
+    def vjp(g):
+        ga = g @ w.data.T
+        gw = np.swapaxes(a.data, -1, -2) @ g
+        return (ga, _unbroadcast(gw, w.shape), _unbroadcast(g, b.shape))
+
+    return Tensor._from_op(out, (a, w, b), vjp)
+
+
 def softmax(a, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``; rows sum to one."""
     a = astensor(a)
@@ -517,8 +564,9 @@ def _tap_sum(frame, kern, pitch: int, rows: int):
     return out.reshape(rows * kw, o)
 
 
-def conv2d(x, k, pad: int) -> Tensor:
-    """Cross-correlation of NCHW input with OIHW kernel, zero padding.
+def conv2d(x, k, pad: int, bias=None) -> Tensor:
+    """Cross-correlation of NCHW input with OIHW kernel, zero padding,
+    plus a per-output-channel ``bias`` when one is given.
 
     Odd kernels only; ``pad=(kh-1)//2`` keeps the spatial size. ``pad``
     may not exceed either kernel extent minus one, so each image's
@@ -538,8 +586,14 @@ def conv2d(x, k, pad: int) -> Tensor:
     the cotangent frame, shifted by the furthest tap offset, with the
     flipped, transposed kernel. Gradients are formed only for tracked
     operands.
+
+    The output is a compact channels-last copy of the crop, with the
+    bias added as it is copied, so the padded tap sums die with the
+    forward. The bias gradient sums the cotangent over batch and pixels
+    in the cotangent's own memory order, as a broadcast add's would.
     """
     x, k = astensor(x), astensor(k)
+    bias = None if bias is None else astensor(bias)
     if x.ndim != 4 or k.ndim != 4:
         raise DimensionError(
             f"conv2d expects 4-d input and kernel, got {tuple(x.shape)} and {tuple(k.shape)}"
@@ -549,6 +603,10 @@ def conv2d(x, k, pad: int) -> Tensor:
     if kin != cin:
         raise DimensionError(
             f"conv2d channel mismatch: input has {cin}, kernel expects {kin}"
+        )
+    if bias is not None and bias.shape != (cout,):
+        raise DimensionError(
+            f"conv2d bias has shape {tuple(bias.shape)}, expected ({cout},)"
         )
     if kh % 2 == 0 or kw % 2 == 0:
         raise ContractError(f"conv2d kernel extents must be odd, got {kh}x{kw}")
@@ -566,7 +624,11 @@ def conv2d(x, k, pad: int) -> Tensor:
     frame[:n].reshape(b, bh, pitch, cin)[:, pad:, pad:] = x.data.transpose(0, 2, 3, 1)
     kern = k.data.transpose(2, 3, 1, 0).reshape(kh, kw * cin, cout)
     full = _tap_sum(frame, kern, pitch, rows)[:n].reshape(b, bh, pitch, cout)
-    out = full[:, :ho, :wo].transpose(0, 3, 1, 2)
+    out = np.empty((b, ho, wo, cout))
+    if bias is None:
+        out[...] = full[:, :ho, :wo]
+    else:
+        np.add(full[:, :ho, :wo], bias.data, out=out)
 
     def vjp(g):
         gframe = np.zeros((reach + rows * kw, cout))
@@ -585,22 +647,29 @@ def conv2d(x, k, pad: int) -> Tensor:
             gfull = _tap_sum(gframe, flipped.reshape(kh, kw * cout, cin), pitch, rows)
             gx = gfull[:n].reshape(b, bh, pitch, cin)[:, pad:, pad:]
             gx = gx.transpose(0, 3, 1, 2)
-        return (gx, gk)
+        if bias is None:
+            return (gx, gk)
+        return (gx, gk, g.sum(axis=(0, 2, 3)))
 
-    return Tensor._from_op(out, (x, k), vjp)
+    parents = (x, k) if bias is None else (x, k, bias)
+    return Tensor._from_op(out.transpose(0, 3, 1, 2), parents, vjp)
 
 
 def _shuffle_fwd(d, r):
+    """(B, C*r^2, H, W) -> (B, C, rH, rW), copied once into a channels-last
+    array: each output pixel's C values come from one input pixel's C*r^2."""
     b, crr, h, w = d.shape
     c = crr // (r * r)
-    return (
-        d.reshape(b, c, r, r, h, w)
-        .transpose(0, 1, 4, 2, 5, 3)
-        .reshape(b, c, h * r, w * r)
-    )
+    out = np.empty((b, h, r, w, r, c))
+    out[...] = d.reshape(b, c, r, r, h, w).transpose(0, 4, 2, 5, 3, 1)
+    return out.reshape(b, h * r, w * r, c).transpose(0, 3, 1, 2)
 
 
 def _unshuffle_fwd(d, r):
+    """The inverse rearrangement, as a C-contiguous NCHW array. The
+    pixel_shuffle vjp keeps this layout: the conv that feeds a shuffle
+    sums its bias gradient in the cotangent's memory order, and a
+    channels-last cotangent would round that sum differently."""
     b, c, hr, wr = d.shape
     h, w = hr // r, wr // r
     return (
@@ -611,7 +680,8 @@ def _unshuffle_fwd(d, r):
 
 
 def pixel_shuffle(x, r: int) -> Tensor:
-    """Sub-pixel rearrangement: (B, C*r^2, H, W) -> (B, C, rH, rW)."""
+    """Sub-pixel rearrangement: (B, C*r^2, H, W) -> (B, C, rH, rW), with a
+    channels-last output."""
     x = astensor(x)
     if x.ndim != 4:
         raise DimensionError(f"pixel_shuffle expects 4-d input, got {tuple(x.shape)}")

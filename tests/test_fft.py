@@ -7,8 +7,9 @@ from promptscan.fft import (
     fft2d,
     fft2d_raw,
     ifft2d_raw,
+    spectral_features,
 )
-from promptscan.tensor import Tensor
+from promptscan.tensor import Tensor, reshape, transpose
 
 SIZES = ((4, 4), (7, 5), (8, 8), (16, 16))
 
@@ -141,3 +142,44 @@ def test_backward_through_both_planes_runs_one_transform(monkeypatch):
     # d/dx sum(w_re*Re F + w_im*Im F) = Re F(w_re - i*w_im), F symmetric
     want = np.real(naive_dft2(w_re - 1j * w_im))
     np.testing.assert_allclose(x.grad, want, atol=1e-11)
+
+
+def _composite_features(x, h, w, mode):
+    """The chain the spectral-feature node replaced: lay the tokens on the
+    grid, transform, move the channels last and scale by 1/N."""
+    bsz, n, c = x.shape
+    spec = fft2d(transpose(reshape(x, (bsz, h, w, c)), (0, 3, 1, 2)))
+    if mode == "reim":
+        feats = reshape(transpose(spec.planes, (0, 2, 3, 4, 1)), (bsz, n, 2 * c))
+    else:
+        feats = reshape(transpose(spec.magnitude(), (0, 2, 3, 1)), (bsz, n, c))
+    return feats * (1.0 / n)
+
+
+@pytest.mark.parametrize("mode", ["reim", "magnitude"])
+@pytest.mark.parametrize("hw", [(4, 6), (5, 7), (6, 5), (3, 4), (1, 5), (8, 1)])
+def test_spectral_features_are_one_node_matching_the_fft2d_chain(mode, hw):
+    h, w = hw
+    rng = np.random.default_rng(h * 10 + w)
+    x0 = rng.standard_normal((3, h * w, 4))
+    results = []
+    for fn in (spectral_features, _composite_features):
+        x = Tensor(x0.copy(), requires_grad=True)
+        out = fn(x, h, w, mode)
+        if fn is spectral_features:
+            assert out._parents == (x,)
+        g = rng.standard_normal(out.shape) if not results else results[0][2]
+        (out * Tensor(g)).sum().backward()
+        results.append((out.data, x.grad, g))
+    (out, grad, _), (ref, ref_grad, _) = results
+    assert out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
+    assert grad.flags.c_contiguous
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
+def test_reim_feature_node_keeps_no_array():
+    x = Tensor(np.random.default_rng(5).standard_normal((2, 12, 3)), requires_grad=True)
+    out = spectral_features(x, 3, 4, "reim")
+    cells = [c.cell_contents for c in out._vjp.__closure__]
+    assert not any(isinstance(c, (np.ndarray, Tensor)) for c in cells)

@@ -132,6 +132,45 @@ def test_overflowed_decay_product_raises_instead_of_nan():
             gated_recurrence(Tensor(x), Tensor(a), Tensor(b), Tensor(c))
 
 
+def test_non_finite_input_reaches_the_states_without_the_overflow_error():
+    # 9 tokens are whole chunks, so the scan runs in place on its copies;
+    # the inputs' finiteness is taken before they are overwritten
+    a = np.full((1, 9, 1), 0.5)
+    a[0, 4, 0] = np.nan
+    x, b, c = np.ones((3, 1, 9, 1))
+    y = gated_recurrence(Tensor(x), Tensor(a), Tensor(b), Tensor(c)).data
+    assert np.isnan(y[0, 4:, 0]).all() and np.isfinite(y[0, :4, 0]).all()
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+@pytest.mark.parametrize("n", [16, 17])
+def test_scan_leaves_its_operands_untouched(ordered, n):
+    rng = np.random.default_rng(n)
+    shape = (2, n, 3)
+    x, b, c, g = rng.standard_normal((4,) + shape)
+    a = rng.uniform(-0.99, 0.99, shape)
+    perm = np.stack([rng.permutation(n) for _ in range(2)])
+    order = SemanticOrder(perm=perm, inv_perm=np.argsort(perm, axis=-1)) if ordered else None
+    leaves = [Tensor(v.copy(), requires_grad=True) for v in (x, a, b, c)]
+    (gated_recurrence(*leaves, order=order) * Tensor(g)).sum().backward()
+    for leaf, v in zip(leaves, (x, a, b, c)):
+        np.testing.assert_array_equal(leaf.data, v)
+
+
+def test_untracked_ordered_scan_holds_three_token_arrays(traced_peak):
+    """(1, 4096, 32): the scan-order copies of a and b * x are the scan's
+    buffers, so the call peaks at them plus the output. Copying both into
+    padded buffers peaked at 4.1 arrays."""
+    rng = np.random.default_rng(9)
+    shape = (1, 4096, 32)
+    x, b, c = (Tensor(v) for v in rng.standard_normal((3,) + shape))
+    a = Tensor(rng.uniform(0.0, 0.99, shape))
+    perm = rng.permutation(4096)[None]
+    order = SemanticOrder(perm=perm, inv_perm=np.argsort(perm, axis=-1))
+    _, peak = traced_peak(lambda: gated_recurrence(x, a, b, c, order=order))
+    assert peak <= 3.25 * x.data.nbytes, f"peak {peak / 2**20:.2f} MiB"
+
+
 @pytest.mark.parametrize("t0", [1, 8, 27, 35, 49])
 def test_zero_decay_cuts_every_earlier_gradient(t0):
     # N = 50 runs in chunks of 8: t0 covers chunk starts, middles and the end

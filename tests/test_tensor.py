@@ -9,14 +9,20 @@ from promptscan.tensor import (
     add,
     conv2d,
     layer_norm,
+    linear,
     matmul,
     mul,
     pixel_shuffle,
     power,
+    reshape,
     separable_map,
+    sigmoid,
+    silu,
     softmax,
+    softplus,
     sub,
     tmean,
+    transpose,
     tsum,
 )
 
@@ -267,3 +273,148 @@ def test_tsum_axis_and_keepdims():
     assert s.shape == (1, 3, 1)
     s.sum().backward()
     np.testing.assert_array_equal(x.grad, np.ones((2, 3, 4)))
+
+
+def _value_and_grads(fn, arrays, w):
+    """``fn``'s output, its node's parents, and the gradients of
+    sum(fn(...) * w) on fresh leaves."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    parents = out._parents
+    (out * Tensor(w)).sum().backward()
+    return out, parents, [t.grad for t in leaves]
+
+
+def _assert_same_bytes(fused, composite, arrays, w):
+    """Forward and every gradient of the one-node op equal the composite's
+    bytes; returns the op's output and its node's parents."""
+    out, parents, grads = _value_and_grads(fused, arrays, w)
+    ref, _, ref_grads = _value_and_grads(composite, arrays, w)
+    assert out.shape == ref.shape
+    assert out.data.tobytes() == ref.data.tobytes()
+    for got, want in zip(grads, ref_grads):
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+    return out, parents
+
+
+@pytest.mark.parametrize("lead", [(4, 256), (7,), (2, 3)])
+def test_linear_is_one_node_matching_matmul_plus_bias(lead):
+    rng = np.random.default_rng(len(lead))
+    arrays = [rng.standard_normal(lead + (32,)), rng.standard_normal((32, 40)),
+              rng.standard_normal(40)]
+    w = rng.standard_normal(lead + (40,))
+    _, parents = _assert_same_bytes(linear, lambda a, k, b: matmul(a, k) + b, arrays, w)
+    assert all(p._vjp is None for p in parents) and len(parents) == 3
+
+
+def test_linear_rejects_a_bias_of_the_wrong_width():
+    with pytest.raises(DimensionError):
+        linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)))
+
+
+@pytest.mark.parametrize(
+    "b,cin,cout,h,w,ksize,pad",
+    [
+        (2, 3, 4, 6, 7, 3, 1),
+        (4, 16, 1, 4, 4, 1, 0),  # the mask's 1x1 gate
+        (4, 1, 32, 16, 16, 3, 1),  # the 1-channel shallow conv
+        (2, 32, 128, 8, 8, 3, 1),  # an up conv
+    ],
+)
+@pytest.mark.parametrize("layout", ["nchw", "channels-last"])
+def test_conv2d_with_bias_is_one_node_matching_the_broadcast_add(
+    b, cin, cout, h, w, ksize, pad, layout
+):
+    rng = np.random.default_rng(cin * cout + ksize)
+    arrays = [
+        rng.standard_normal((b, cin, h, w)),
+        rng.standard_normal((cout, cin, ksize, ksize)),
+        rng.standard_normal(cout),
+    ]
+    ho, wo = h + 2 * pad - ksize + 1, w + 2 * pad - ksize + 1
+    # the bias gradient sums the cotangent in its memory order; weighting
+    # the output through a transpose hands the conv a channels-last one
+    if layout == "nchw":
+        head, g = (lambda t: t), rng.standard_normal((b, cout, ho, wo))
+    else:
+        head, g = (lambda t: transpose(t, (0, 2, 3, 1))), rng.standard_normal((b, ho, wo, cout))
+    _assert_same_bytes(
+        lambda x, k, bias: head(conv2d(x, k, pad, bias)),
+        lambda x, k, bias: head(conv2d(x, k, pad) + reshape(bias, (1, -1, 1, 1))),
+        arrays,
+        g,
+    )
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = conv2d(*leaves[:2], pad, leaves[2])
+    assert out._parents == tuple(leaves)
+    # a compact channels-last array, not a view of the padded tap sums
+    assert out.data.transpose(0, 2, 3, 1).flags.c_contiguous
+    assert out.data.base is None or out.data.base.size == out.data.size
+
+
+_EDGES = np.array([0.0, -0.0, 40.0, -40.0, 800.0, -800.0])
+
+
+def _where_sigmoid(x):
+    """The two-branch logistic the shared helper must reproduce bit for bit."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _composite_softplus(a):
+    """softplus as it was: the value, and a vjp that reads a stored sigmoid."""
+    e = np.exp(-np.abs(a.data))
+    sig = _where_sigmoid(a.data)
+    out = np.maximum(a.data, 0.0) + np.log1p(e)
+    return Tensor._from_op(out, (a,), lambda g: (g * sig,))
+
+
+def _activation_inputs():
+    rng = np.random.default_rng(21)
+    x = np.concatenate([_EDGES, rng.standard_normal(58) * 6.0]).reshape(8, 8)
+    return [x], rng.standard_normal((8, 8))
+
+
+def test_sigmoid_helper_matches_the_two_branch_form():
+    (x,), _ = _activation_inputs()
+    assert sigmoid(Tensor(x)).data.tobytes() == _where_sigmoid(x).tobytes()
+
+
+def test_silu_is_one_node_matching_the_product_with_sigmoid():
+    arrays, w = _activation_inputs()
+    _, parents = _assert_same_bytes(silu, lambda a: mul(a, sigmoid(a)), arrays, w)
+    assert len(parents) == 1 and parents[0]._vjp is None
+
+
+def test_softplus_forms_its_sigmoid_in_the_vjp():
+    arrays, w = _activation_inputs()
+    _assert_same_bytes(softplus, _composite_softplus, arrays, w)
+    x = Tensor(arrays[0], requires_grad=True)
+    out = softplus(x)
+    # the closure holds the input and nothing the size of an array besides
+    cells = [c.cell_contents for c in out._vjp.__closure__]
+    assert not any(isinstance(c, np.ndarray) for c in cells)
+
+
+def _reshape_shuffle(d, r):
+    """The reshape-and-transpose pixel shuffle, C-contiguous NCHW."""
+    b, crr, h, w = d.shape
+    c = crr // (r * r)
+    return d.reshape(b, c, r, r, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(b, c, h * r, w * r)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_pixel_shuffle_writes_channels_last_with_the_same_values_and_gradient(r):
+    rng = np.random.default_rng(r)
+    x0 = rng.standard_normal((2, 3 * r * r, 4, 5))
+    # a channels-last input, like the conv output it follows in the model
+    x0 = np.ascontiguousarray(x0.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    w = rng.standard_normal((2, 3, 4 * r, 5 * r))
+    x = Tensor(x0, requires_grad=True)
+    out = pixel_shuffle(x, r)
+    assert out.data.transpose(0, 2, 3, 1).flags.c_contiguous
+    np.testing.assert_array_equal(out.data, _reshape_shuffle(x0, r))
+    (out * Tensor(w)).sum().backward()
+    np.testing.assert_array_equal(x.grad, _unshuffle_fwd(w, r))
+    assert x.grad.flags.c_contiguous
