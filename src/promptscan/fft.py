@@ -69,15 +69,17 @@ class ComplexSpectrum:
     def magnitude(self) -> Tensor:
         """|F|, with gradient defined as 0 at exact zeros."""
         p = self.planes
-        out = np.hypot(p.data[..., 0], p.data[..., 1])
+        pd = p.data
+        out = np.hypot(pd[..., 0], pd[..., 1])
         with np.errstate(divide="ignore"):
             inv = np.where(out > 0, 1.0 / out, 0.0)
-        return Tensor._from_op(out, (p,), lambda g: ((g * inv)[..., None] * p.data,))
+        return Tensor._from_op(out, (p,), lambda g: ((g * inv)[..., None] * pd,))
 
     def phase(self, grad_eps: float = 0.0) -> Tensor:
         """atan2(im, re); gradient masked to 0 on radii <= grad_eps."""
         p = self.planes
-        re, im = p.data[..., 0], p.data[..., 1]
+        pd = p.data
+        re, im = pd[..., 0], pd[..., 1]
         out = np.arctan2(im, re)
         r2 = re * re + im * im
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -86,7 +88,7 @@ class ComplexSpectrum:
 
         def vjp(g):
             gi = g * inv
-            ga = np.empty_like(p.data)
+            ga = np.empty_like(pd)
             ga[..., 0] = -gi * im
             ga[..., 1] = gi * re
             return (ga,)

@@ -429,28 +429,29 @@ def attention(q, k, v, scale: float) -> Tensor:
         out[b, i] = row @ v.data[b]
     out /= total[..., None]
     lse = shift + np.log(total)[..., None]
+    qd, kd, vd = q.data, k.data, v.data
 
     def vjp(g):
         delta = (g * out).sum(axis=-1, keepdims=True)
-        gq = np.zeros_like(q.data)
-        gk = np.zeros_like(k.data)
-        gv = np.zeros_like(v.data)
-        qa = _augment(q.data * scale, -lse)
-        kat = _augment_t(k.data)
+        gq = np.zeros_like(qd)
+        gk = np.zeros_like(kd)
+        gv = np.zeros_like(vd)
+        qa = _augment(qd * scale, -lse)
+        kat = _augment_t(kd)
         ga = _augment(g, -delta)
-        vat = _augment_t(v.data)
-        rows, tk = _block_shape(bsz, q.shape[1], nk)
-        blocks = [slice(lo, lo + rows) for lo in range(0, q.shape[1], rows)]
+        vat = _augment_t(vd)
+        rows, tk = _block_shape(bsz, qd.shape[1], nk)
+        blocks = [slice(lo, lo + rows) for lo in range(0, qd.shape[1], rows)]
         tiles = [slice(lo, lo + tk) for lo in range(0, nk, tk)]
         pbuf, dbuf = np.empty((2, bsz, rows, tk))
         for blk in blocks:
-            ga_blk, g_blk, q_blk = ga[:, blk], g[:, blk], q.data[:, blk]
+            ga_blk, g_blk, q_blk = ga[:, blk], g[:, blk], qd[:, blk]
             for tile in tiles:
                 p = _probs(qa[:, blk], kat[..., tile], pbuf)
                 gv[:, tile] += p.swapaxes(-1, -2) @ g_blk
                 ds = np.matmul(ga_blk, vat[..., tile], out=dbuf[:, : p.shape[1], : p.shape[2]])
                 ds *= p
-                gq[:, blk] += ds @ k.data[:, tile]
+                gq[:, blk] += ds @ kd[:, tile]
                 gk[:, tile] += ds.swapaxes(-1, -2) @ q_blk
         gq *= scale
         gk *= scale

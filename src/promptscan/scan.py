@@ -137,25 +137,26 @@ def gated_recurrence(
                 f"permutation shape {order.perm.shape} does not match tokens {x.shape[:2]}"
             )
         perm, inv = order.perm, order.inv_perm
+    xd, ad, bd, cd = x.data, a.data, b.data, c.data
     # the scan overwrites its inputs, so a is copied even when not gathered
-    a_scan = a.data.copy() if perm is None else _gather(a.data, perm)
-    h = _linear_scan(a_scan, _gather(b.data * x.data, perm))
+    a_scan = ad.copy() if perm is None else _gather(ad, perm)
+    h = _linear_scan(a_scan, _gather(bd * xd, perm))
     del a_scan  # now running decay products, which nothing reads
-    y = c.data * _gather(h, inv)
+    y = cd * _gather(h, inv)
     if trace is not None:
         trace["h"] = h.copy()
-        trace["y"] = _gather(c.data, perm) * h
+        trace["y"] = _gather(cd, perm) * h
 
     def vjp(g):
         # only the adjoint recurrence runs in scan order; each cotangent is
         # its scan-order product gathered back, formed in token order
         a_next = np.zeros_like(h)
-        a_next[:, :-1] = _gather(a.data, perm)[:, 1:]
-        lam = _linear_scan(a_next[:, ::-1], _gather(g * c.data, perm)[:, ::-1])[:, ::-1]
+        a_next[:, :-1] = _gather(ad, perm)[:, 1:]
+        lam = _linear_scan(a_next[:, ::-1], _gather(g * cd, perm)[:, ::-1])[:, ::-1]
         da = np.zeros_like(lam)
         da[:, 1:] = lam[:, 1:] * h[:, :-1]
         lam = _gather(lam, inv)
-        return lam * b.data, _gather(da, inv), lam * x.data, g * _gather(h, inv)
+        return lam * bd, _gather(da, inv), lam * xd, g * _gather(h, inv)
 
     return Tensor._from_op(y, (x, a, b, c), vjp)
 

@@ -1,12 +1,18 @@
 """Dense tensors with a taped reverse-mode gradient engine.
 
-Values are float64 numpy arrays. Every differentiable
-operation that touches a grad-tracked tensor records a node holding its
-parents and a vector-Jacobian closure; ``Tensor.backward()`` replays the
-recorded graph in reverse topological order and accumulates gradients on
-the tracked leaves. The tape lives on the result tensors themselves, so
-independent forward passes never share state and are safe to run
-concurrently.
+Values are float64 numpy arrays. The graph is kept apart from the
+values: every differentiable operation that touches a grad-tracked
+tensor returns a :class:`Tensor` holding its value and a small record
+holding the records of its parents (a leaf or an untracked parent stays
+as its Tensor) and a vector-Jacobian closure. A closure captures only
+the arrays, shapes and ``requires_grad`` flags it reads, never a
+Tensor, so an intermediate's array is freed as soon as the forward code
+drops it unless some vjp saved it: graph records plus explicitly saved
+tensors, as in PyTorch (Paszke et al. 2019). ``Tensor.backward()``
+replays the records in reverse topological order and accumulates
+gradients on the tracked leaves. A tape is reachable only from its
+result, so independent forward passes never share state and are safe
+to run concurrently.
 
 Summation order is fixed (row-major numpy reductions) so results are
 deterministic and directly comparable against naive-loop oracles.
@@ -18,38 +24,70 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 
+
+class _Node:
+    """The tape record of one operation's output: its parents' records
+    (or leaf tensors) and its vjp. It holds no value of its own."""
+
+    __slots__ = ("_parents", "_vjp")
+    requires_grad = True
+
+    def __init__(self, parents, vjp):
+        self._parents = parents
+        self._vjp = vjp
+
+
 class Tensor:
     """N-dimensional real array participating in the differentiation graph.
 
     ``requires_grad=True`` marks a leaf whose gradient is wanted;
     tensors produced by operations track gradients automatically when
-    any input does.
+    any input does. ``_parents`` and ``_vjp`` read (and ``_vjp`` also
+    replaces) the tape record of an operation's output; a leaf has none.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._vjp = None
+        self._node = None
 
     # -- internal node constructor -------------------------------------
 
     @staticmethod
     def _from_op(data, parents, vjp):
+        """The tensor of value ``data`` computed from the tensors
+        ``parents``, recording ``vjp`` when any parent is tracked.
+
+        ``vjp(g)`` maps the output's cotangent to one gradient per parent
+        (None for a parent it does not differentiate). It must capture
+        the arrays, shapes and flags it reads, never a Tensor: the record
+        keeps whatever the closure holds until backward runs.
+        """
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
         out.requires_grad = any(p.requires_grad for p in parents)
+        out._node = None
         if out.requires_grad:
-            out._parents = tuple(parents)
-            out._vjp = vjp
-        else:
-            out._parents = ()
-            out._vjp = None
+            out._node = _Node(
+                tuple(p if p._node is None else p._node for p in parents), vjp
+            )
         return out
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _vjp(self):
+        return None if self._node is None else self._node._vjp
+
+    @_vjp.setter
+    def _vjp(self, fn):
+        self._node._vjp = fn
 
     # -- basic protocol --------------------------------------------------
 
@@ -82,15 +120,19 @@ class Tensor:
     def backward(self) -> None:
         """Reverse sweep from this scalar; accumulates ``.grad`` on tracked leaves.
 
-        The recorded tape is freed afterwards, one backward per forward.
+        The walk visits records and leaf tensors, never an intermediate's
+        value; gradients are keyed by record. Each record drops its
+        parents and its vjp, and with them the arrays the vjp saved, as
+        soon as it has run: one backward per forward.
         """
         if self.size != 1:
             raise ContractError(
                 f"backward seed must be scalar, got shape {tuple(self.shape)}"
             )
+        root = self if self._node is None else self._node
         topo = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -104,12 +146,15 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
 
-        grads = {id(self): np.ones_like(self.data)}
+        grads = {id(root): np.ones_like(self.data)}
         for node in reversed(topo):
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node._vjp is not None:
+            if isinstance(node, Tensor):
+                if node.requires_grad:
+                    node.grad = g if node.grad is None else node.grad + g
+            elif node._vjp is not None:  # else freed by an earlier backward
                 parent_grads = node._vjp(g)
                 for p, pg in zip(node._parents, parent_grads):
                     if pg is None or not p.requires_grad:
@@ -119,8 +164,6 @@ class Tensor:
                 # free the tape as we go
                 node._parents = ()
                 node._vjp = None
-            elif node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
 
     # -- operator sugar -----------------------------------------------------
 
@@ -176,7 +219,12 @@ def astensor(x) -> Tensor:
 
 
 def _unbroadcast(g, shape):
-    """Reduce gradient ``g`` back to ``shape`` after numpy broadcasting."""
+    """Reduce gradient ``g`` back to ``shape`` after numpy broadcasting.
+
+    The sums run in ``g``'s memory order, so a vjp upstream that hands
+    over the same values in another layout changes the rounding of the
+    reduced gradient, and with it the replay bytes.
+    """
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
@@ -193,42 +241,51 @@ def _unbroadcast(g, shape):
 
 def add(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
+    sa, sb = a.shape, b.shape
     return Tensor._from_op(
         a.data + b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+        lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)),
     )
 
 
 def sub(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
+    sa, sb = a.shape, b.shape
     return Tensor._from_op(
         a.data - b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
+        lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)),
     )
 
 
 def mul(a, b) -> Tensor:
+    """Elementwise product; the node saves an operand only when the
+    other one is tracked, since only that one's gradient reads it."""
     a, b = astensor(a), astensor(b)
+    sa, sb = a.shape, b.shape
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
     return Tensor._from_op(
         a.data * b.data,
         (a, b),
         lambda g: (
-            _unbroadcast(g * b.data, a.shape),
-            _unbroadcast(g * a.data, b.shape),
+            None if bd is None else _unbroadcast(g * bd, sa),
+            None if ad is None else _unbroadcast(g * ad, sb),
         ),
     )
 
 
 def div(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
+    sa, sb = a.shape, b.shape
+    ad, bd = a.data, b.data
     return Tensor._from_op(
-        a.data / b.data,
+        ad / bd,
         (a, b),
         lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+            _unbroadcast(g / bd, sa),
+            _unbroadcast(-g * ad / (bd * bd), sb),
         ),
     )
 
@@ -241,8 +298,8 @@ def neg(a) -> Tensor:
 def power(a, exponent: float) -> Tensor:
     a = astensor(a)
     e = float(exponent)
-    out = a.data**e
-    return Tensor._from_op(out, (a,), lambda g: (g * e * a.data ** (e - 1.0),))
+    ad = a.data
+    return Tensor._from_op(ad**e, (a,), lambda g: (g * e * ad ** (e - 1.0),))
 
 
 def exp(a) -> Tensor:
@@ -253,7 +310,8 @@ def exp(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = astensor(a)
-    return Tensor._from_op(np.log(a.data), (a,), lambda g: (g / a.data,))
+    ad = a.data
+    return Tensor._from_op(np.log(ad), (a,), lambda g: (g / ad,))
 
 
 def sqrt(a) -> Tensor:
@@ -264,25 +322,27 @@ def sqrt(a) -> Tensor:
 
 def sin(a) -> Tensor:
     a = astensor(a)
-    return Tensor._from_op(np.sin(a.data), (a,), lambda g: (g * np.cos(a.data),))
+    ad = a.data
+    return Tensor._from_op(np.sin(ad), (a,), lambda g: (g * np.cos(ad),))
 
 
 def cos(a) -> Tensor:
     a = astensor(a)
-    return Tensor._from_op(np.cos(a.data), (a,), lambda g: (-g * np.sin(a.data),))
+    ad = a.data
+    return Tensor._from_op(np.cos(ad), (a,), lambda g: (-g * np.sin(ad),))
 
 
 def absolute(a) -> Tensor:
     # subgradient at 0 is taken as 0
     a = astensor(a)
-    return Tensor._from_op(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
+    ad = a.data
+    return Tensor._from_op(np.abs(ad), (a,), lambda g: (g * np.sign(ad),))
 
 
 def relu(a) -> Tensor:
     a = astensor(a)
-    return Tensor._from_op(
-        np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0),)
-    )
+    ad = a.data
+    return Tensor._from_op(np.maximum(ad, 0.0), (a,), lambda g: (g * (ad > 0),))
 
 
 def _exp_neg_abs(x):
@@ -314,21 +374,23 @@ def softplus(a) -> Tensor:
     """log(1 + e^x), computed stably; its derivative, the sigmoid, is
     formed in the vjp, so the node keeps no array of its own."""
     a = astensor(a)
-    out = np.maximum(a.data, 0.0)
-    out += np.log1p(_exp_neg_abs(a.data))
-    return Tensor._from_op(out, (a,), lambda g: (g * _sigmoid(a.data),))
+    ad = a.data
+    out = np.maximum(ad, 0.0)
+    out += np.log1p(_exp_neg_abs(ad))
+    return Tensor._from_op(out, (a,), lambda g: (g * _sigmoid(ad),))
 
 
 def silu(a) -> Tensor:
     """x * sigmoid(x), one node. The vjp adds the two terms of the
     product rule in the order the product's own nodes would."""
     a = astensor(a)
-    s = _sigmoid(a.data)
+    ad = a.data
+    s = _sigmoid(ad)
 
     def vjp(g):
-        return (g * s + g * a.data * s * (1.0 - s),)
+        return (g * s + g * ad * s * (1.0 - s),)
 
-    return Tensor._from_op(a.data * s, (a,), vjp)
+    return Tensor._from_op(ad * s, (a,), vjp)
 
 
 def atan2(y, x) -> Tensor:
@@ -338,15 +400,15 @@ def atan2(y, x) -> Tensor:
     there.
     """
     y, x = astensor(y), astensor(x)
-    out = np.arctan2(y.data, x.data)
-    r2 = y.data * y.data + x.data * x.data
+    yd, xd = y.data, x.data
+    r2 = yd * yd + xd * xd
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(r2 > 0.0, 1.0 / r2, 0.0)
     inv = np.where(np.isfinite(inv), inv, 0.0)
     return Tensor._from_op(
-        out,
+        np.arctan2(yd, xd),
         (y, x),
-        lambda g: (g * x.data * inv, -g * y.data * inv),
+        lambda g: (g * xd * inv, -g * yd * inv),
     )
 
 
@@ -364,12 +426,13 @@ def _norm_axis(axis, ndim):
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = astensor(a)
     axes = _norm_axis(axis, a.ndim)
+    shape = a.shape
     out = a.data.sum(axis=axes, keepdims=keepdims)
 
     def vjp(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return Tensor._from_op(np.asarray(out), (a,), vjp)
 
@@ -377,13 +440,14 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = astensor(a)
     axes = _norm_axis(axis, a.ndim)
-    count = int(np.prod([a.shape[i] for i in axes])) if a.ndim else 1
+    shape = a.shape
+    count = int(np.prod([shape[i] for i in axes])) if a.ndim else 1
     out = a.data.mean(axis=axes, keepdims=keepdims)
 
     def vjp(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape).copy() / count,)
+        return (np.broadcast_to(g, shape).copy() / count,)
 
     return Tensor._from_op(np.asarray(out), (a,), vjp)
 
@@ -395,8 +459,8 @@ def reshape(a, *shape) -> Tensor:
     a = astensor(a)
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
-    out = a.data.reshape(shape)
-    return Tensor._from_op(out, (a,), lambda g: (g.reshape(a.shape),))
+    before = a.shape
+    return Tensor._from_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(before),))
 
 
 def transpose(a, axes) -> Tensor:
@@ -408,15 +472,33 @@ def transpose(a, axes) -> Tensor:
     )
 
 
+def _memory_order(a):
+    """The axis order, outermost first, in which ``np.zeros_like(a)`` lays
+    out its result; None for C order."""
+    if a.flags.c_contiguous:
+        return None
+    if a.flags.f_contiguous:
+        return tuple(reversed(range(a.ndim)))
+    return tuple(np.argsort([-abs(s) for s in a.strides], kind="stable"))
+
+
 def index(a, key) -> Tensor:
-    """Basic indexing (ints/slices); gradient scatters back into place."""
+    """Basic indexing (ints/slices); gradient scatters back into place.
+
+    The node keeps the input's shape and memory order, not its array:
+    the gradient is laid out as ``np.zeros_like`` of the input would be.
+    """
     a = astensor(a)
     out = a.data[key]
     if np.isscalar(out) or out.ndim == 0:
         out = np.asarray(out)
+    shape, order = a.shape, _memory_order(a.data)
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
+        if order is None:
+            ga = np.zeros(shape)
+        else:
+            ga = np.zeros([shape[i] for i in order]).transpose(np.argsort(order))
         ga[key] = g
         return (ga,)
 
@@ -436,14 +518,14 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(
             f"matmul inner dimensions differ: {tuple(a.shape)} vs {tuple(b.shape)}"
         )
-    out = a.data @ b.data
+    ad, bd = a.data, b.data
 
     def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+        ga = g @ np.swapaxes(bd, -1, -2)
+        gb = np.swapaxes(ad, -1, -2) @ g
+        return (_unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape))
 
-    return Tensor._from_op(out, (a, b), vjp)
+    return Tensor._from_op(ad @ bd, (a, b), vjp)
 
 
 def linear(a, w, b) -> Tensor:
@@ -461,13 +543,14 @@ def linear(a, w, b) -> Tensor:
         raise DimensionError(
             f"linear inner dimensions differ: {tuple(a.shape)} vs {tuple(w.shape)}"
         )
-    out = a.data @ w.data
+    ad, wd, sb = a.data, w.data, b.shape
+    out = ad @ wd
     out += b.data
 
     def vjp(g):
-        ga = g @ w.data.T
-        gw = np.swapaxes(a.data, -1, -2) @ g
-        return (ga, _unbroadcast(gw, w.shape), _unbroadcast(g, b.shape))
+        ga = g @ wd.T
+        gw = np.swapaxes(ad, -1, -2) @ g
+        return (ga, _unbroadcast(gw, wd.shape), _unbroadcast(g, sb))
 
     return Tensor._from_op(out, (a, w, b), vjp)
 
@@ -504,17 +587,17 @@ def layer_norm(x, gamma, beta) -> Tensor:
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     inv = ((xhat * xhat).mean(axis=-1, keepdims=True) + 1e-5) ** -0.5
     xhat *= inv
-    out = xhat * gamma.data
+    gd, lead = gamma.data, tuple(range(x.ndim - 1))
+    out = xhat * gd
     out += beta.data
 
     def vjp(g):
-        d = g * gamma.data
+        d = g * gd
         dx = inv * (
             d
             - d.mean(axis=-1, keepdims=True)
             - xhat * (d * xhat).mean(axis=-1, keepdims=True)
         )
-        lead = tuple(range(x.ndim - 1))
         return (dx, (g * xhat).sum(axis=lead), g.sum(axis=lead))
 
     return Tensor._from_op(out, (x, gamma, beta), vjp)
@@ -622,7 +705,9 @@ def conv2d(x, k, pad: int, bias=None) -> Tensor:
     reach = (kh - 1) * pitch + kw - 1
     frame = np.zeros((reach + rows * kw, cin))
     frame[:n].reshape(b, bh, pitch, cin)[:, pad:, pad:] = x.data.transpose(0, 2, 3, 1)
-    kern = k.data.transpose(2, 3, 1, 0).reshape(kh, kw * cin, cout)
+    kd, biased = k.data, bias is not None
+    want_x, want_k = x.requires_grad, k.requires_grad
+    kern = kd.transpose(2, 3, 1, 0).reshape(kh, kw * cin, cout)
     full = _tap_sum(frame, kern, pitch, rows)[:n].reshape(b, bh, pitch, cout)
     out = np.empty((b, ho, wo, cout))
     if bias is None:
@@ -635,19 +720,19 @@ def conv2d(x, k, pad: int, bias=None) -> Tensor:
         gout = gframe[reach : reach + n]
         gout.reshape(b, bh, pitch, cout)[:, :ho, :wo] = g.transpose(0, 2, 3, 1)
         gx = gk = None
-        if k.requires_grad:
+        if want_k:
             taps = np.empty((kh, kw, cin, cout))
             for u in range(kh):
                 for v in range(kw):
                     lo = u * pitch + v
                     np.matmul(frame[lo : lo + n].T, gout, out=taps[u, v])
             gk = taps.transpose(3, 2, 0, 1)
-        if x.requires_grad:
-            flipped = k.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
+        if want_x:
+            flipped = kd[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
             gfull = _tap_sum(gframe, flipped.reshape(kh, kw * cout, cin), pitch, rows)
             gx = gfull[:n].reshape(b, bh, pitch, cin)[:, pad:, pad:]
             gx = gx.transpose(0, 3, 1, 2)
-        if bias is None:
+        if not biased:
             return (gx, gk)
         return (gx, gk, g.sum(axis=(0, 2, 3)))
 

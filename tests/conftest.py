@@ -16,3 +16,21 @@ def _traced_peak(fn):
 def traced_peak():
     """``_traced_peak``, for the tests that bound a call's memory."""
     return _traced_peak
+
+
+def _tape_objects(root):
+    """Every object reachable from ``root`` through ``_parents``, ``root``
+    first: the tape's records and the leaf or untracked tensors they read."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
+
+
+@pytest.fixture
+def tape_objects():
+    """``_tape_objects``, for the tests that inspect a recorded tape."""
+    return _tape_objects

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from promptscan.network import (
     seed_streams,
 )
 from promptscan.resize import resample
-from promptscan.tensor import Tensor
+from promptscan.scan import derive_ssm_params
+from promptscan.tensor import Tensor, conv2d, linear, pixel_shuffle, silu
 
 TINY = dict(channels=4, blocks=1, modules_per_block=1, pool_size=2, scale=2)
 
@@ -126,23 +129,67 @@ def test_block_residual_is_additive():
     assert np.any(out.data != x.data)
 
 
-def test_hard_route_module_records_one_node_per_norm_and_scan():
+def test_hard_route_module_records_one_node_per_norm_and_scan(tape_objects):
     cfg = desk_config()
     mp = build_model(cfg).blocks[0].modules[0]
     x = Tensor(np.random.default_rng(3).standard_normal((2, 64, cfg.channels)), requires_grad=True)
     out = asf_ssm_forward(x, mp, cfg, 8, 8, mode=ForwardMode(train=True, route="hard"))
-    seen = {id(out): out}
-    stack = [out]
-    while stack:
-        for p in stack.pop()._parents:
-            if id(p) not in seen:
-                seen[id(p)] = p
-                stack.append(p)
-    nodes = sum(t._vjp is not None for t in seen.values())
+    nodes = sum(t._vjp is not None for t in tape_objects(out))
     # 49 when layer_norm recorded 9 nodes and the scan order 5 gathers; 36
     # while the spectral features took 6 nodes, each biased projection 2
     # and silu 2
     assert nodes == 36 - 5 - 3 - 1
+
+
+def _up_conv_read_by_pixel_shuffle(params, cfg, rng):
+    x = Tensor(rng.standard_normal((2, cfg.channels, 8, 8)), requires_grad=True)
+    mid = conv2d(x, params.up_k[0], 1, params.up_b[0])
+    return x, mid, lambda: [pixel_shuffle(mid, 2)]
+
+
+def _x_in_read_by_the_gate_slices(params, cfg, rng):
+    mp = params.blocks[0].modules[0]
+    x = Tensor(rng.standard_normal((2, 64, cfg.channels)), requires_grad=True)
+    mid = linear(silu(linear(x, mp.w_mlp, mp.b_mlp)), mp.w_in, mp.b_in)
+
+    def consume():
+        ssm, logits = derive_ssm_params(mid, cfg.channels, cfg.pool_size, a_log=mp.a_log)
+        return [ssm.a_decay, ssm.b_in, ssm.c_raw, logits]
+
+    return x, mid, consume
+
+
+@pytest.mark.parametrize("case", [_up_conv_read_by_pixel_shuffle, _x_in_read_by_the_gate_slices])
+def test_an_intermediate_no_vjp_reads_dies_while_its_tape_lives(case):
+    """pixel_shuffle's vjp reads nothing of the up conv's output and the
+    gate slices' vjps only its shape, so each array is freed as soon as
+    the caller drops it, before backward; the gradients are the same
+    bits as when the caller keeps it."""
+    cfg = desk_config()
+    params = build_model(cfg)
+    leaves = named_parameters(params)
+
+    def grads(keep):
+        for t in leaves.values():
+            t.grad = None
+        x, mid, consume = case(params, cfg, np.random.default_rng(14))
+        arrays = [mid.data] + ([] if mid.data.base is None else [mid.data.base])
+        refs = [weakref.ref(a) for a in arrays]
+        del arrays
+        outs = consume()
+        kept = mid if keep else None
+        del mid, consume
+        loss = sum((o * Tensor(np.cos(np.arange(o.size)).reshape(o.shape))).sum() for o in outs)
+        del outs
+        assert all((r() is None) != keep for r in refs)
+        loss.backward()
+        del kept
+        return [x.grad] + [t.grad for t in leaves.values()]
+
+    for got, want in zip(grads(keep=False), grads(keep=True)):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tobytes() == want.tobytes()
 
 
 def test_untracked_module_holds_each_intermediate_only_until_its_last_reader(traced_peak):

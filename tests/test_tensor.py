@@ -73,6 +73,30 @@ def test_index_backward_scatters_into_slice():
     np.testing.assert_array_equal(x.grad, expected)
 
 
+_BASE = np.arange(360.0).reshape(3, 4, 5, 6)
+
+
+@pytest.mark.parametrize(
+    "view",
+    [
+        _BASE,
+        _BASE.transpose(0, 2, 3, 1),  # channels-last behind an NCHW view
+        np.asfortranarray(_BASE[:, :1]),
+        _BASE[:, ::2, :, ::-1],
+        _BASE.transpose(1, 0, 3, 2)[:, :1],
+    ],
+)
+def test_index_gradient_is_laid_out_like_zeros_like_of_its_input(view):
+    # the node keeps the input's shape and memory order, not its array;
+    # a reduction downstream sums in the gradient's memory order
+    x = Tensor(view, requires_grad=True)
+    x[:, :, 1:, :2].sum().backward()
+    want = np.zeros_like(view)
+    want[:, :, 1:, :2] = 1.0
+    assert x.grad.strides == want.strides
+    np.testing.assert_array_equal(x.grad, want)
+
+
 def test_absolute_and_clamp_subgradients():
     x = Tensor(np.array([-1.5, 0.0, 2.0]), requires_grad=True)
     absolute(x).sum().backward()
@@ -392,9 +416,10 @@ def test_softplus_forms_its_sigmoid_in_the_vjp():
     _assert_same_bytes(softplus, _composite_softplus, arrays, w)
     x = Tensor(arrays[0], requires_grad=True)
     out = softplus(x)
-    # the closure holds the input and nothing the size of an array besides
+    # the closure holds the input's array and no other array
     cells = [c.cell_contents for c in out._vjp.__closure__]
-    assert not any(isinstance(c, np.ndarray) for c in cells)
+    held = [c for c in cells if isinstance(c, np.ndarray)]
+    assert len(held) == 1 and held[0] is x.data
 
 
 def _reshape_shuffle(d, r):

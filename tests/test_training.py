@@ -150,22 +150,9 @@ def test_train_loop_replay_is_byte_identical(tmp_path):
     assert r1.ckpt_path.read_bytes() == r2.ckpt_path.read_bytes()
 
 
-def _tape_nodes(root):
-    """Recorded nodes (tensors with a vjp) reachable from ``root``."""
-    seen, stack = {id(root): root}, [root]
-    while stack:
-        for p in stack.pop()._parents:
-            if id(p) not in seen:
-                seen[id(p)] = p
-                stack.append(p)
-    return sum(t._vjp is not None for t in seen.values())
-
-
-def test_desk_train_forward_tape_holds_only_what_its_vjps_read():
-    """A desk-config train forward plus loss (batch 4, HR patch 32) records
-    155 nodes holding 33.5 MiB of live traced arrays. With two nodes per
-    biased projection, conv and silu, six for the spectral features and a
-    stored sigmoid in softplus it recorded 199 holding 45.2 MiB."""
+def _desk_train_loss():
+    """A function that runs a desk-config train forward plus thermal mask
+    and loss (batch 4, HR patch 32) and returns the loss."""
     cfg = RunConfig()
     params = build_model(cfg.model)
     streams = seed_streams(cfg.model.seed)
@@ -177,18 +164,58 @@ def test_desk_train_forward_tape_holds_only_what_its_vjps_read():
         pairs, np.random.default_rng(streams["data"]), cfg.train.batch, cfg.train.patch,
         cfg.model.scale,
     )
+
+    def loss():
+        sr = model_forward(Tensor(lr_b), params, cfg.model, ForwardMode(train=True))
+        hr = Tensor(hr_b)
+        return total_loss(sr, hr, thermal_mask(hr, params.gate_k, params.gate_b, extractor),
+                          cfg.loss)
+
+    return loss
+
+
+def test_desk_train_forward_tape_holds_only_what_its_vjps_read(tape_objects):
+    """The desk train loss records 155 nodes holding 21.2 MiB of live
+    traced arrays. While the tape held every op output's tensor, and
+    closures held tensors to read a shape or a flag, the same 155 nodes
+    held 33.5 MiB; with two nodes per biased projection, conv and silu,
+    six for the spectral features and a stored sigmoid in softplus, 199
+    nodes held 45.2 MiB."""
+    run = _desk_train_loss()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        sr = model_forward(Tensor(lr_b), params, cfg.model, ForwardMode(train=True))
-        hr = Tensor(hr_b)
-        loss = total_loss(sr, hr, thermal_mask(hr, params.gate_k, params.gate_b, extractor),
-                          cfg.loss)
+        loss = run()
         live = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert _tape_nodes(loss) == 155
-    assert live < 35 * 2**20, f"tape holds {live / 2**20:.2f} MiB"
+    assert sum(t._vjp is not None for t in tape_objects(loss)) == 155
+    assert live < 22.5 * 2**20, f"tape holds {live / 2**20:.2f} MiB"
+
+
+def _holds_a_tensor(value):
+    items = value if isinstance(value, (tuple, list)) else (value,)
+    return any(isinstance(v, Tensor) for v in items)
+
+
+def test_desk_train_tape_keeps_no_tensor_but_its_leaves(tape_objects):
+    """No vjp closure holds a tensor, directly or in a tuple or list, and
+    the tape reaches no op output's tensor: one that did would keep an
+    intermediate's array alive until backward."""
+    loss = _desk_train_loss()()
+    objects = tape_objects(loss)
+    records = [t for t in objects if t._vjp is not None]
+    assert len(records) == 155
+    holding = sorted(
+        {
+            t._vjp.__qualname__
+            for t in records
+            for cell in t._vjp.__closure__ or ()
+            if _holds_a_tensor(cell.cell_contents)
+        }
+    )
+    assert holding == []
+    assert all(t._node is None for t in objects[1:] if isinstance(t, Tensor))
 
 
 def test_train_loop_rejects_empty_dataset(tmp_path):
