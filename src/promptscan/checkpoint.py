@@ -14,10 +14,11 @@ Layout (all integers little-endian):
 
 Loading rebuilds the model from the stored config (so derived state
 like router noise streams comes back from the same seed) and overwrites
-the freshly initialized tensors with the stored blobs. A blob holding a
-NaN or an infinity is rejected. The loaded parameters are not
-grad-tracked, so a forward on them records no tape. A save of the
-loaded model reproduces the original file byte for byte.
+the freshly initialized arrays in place with the stored blobs, so a
+load allocates no second copy of the weights. A blob holding a NaN or
+an infinity is rejected. The loaded parameters are not grad-tracked,
+so a forward on them records no tape. A save of the loaded model
+reproduces the original file byte for byte.
 
 A save writes a temporary file next to the target and renames it over
 the target, so a save that fails partway leaves the previous checkpoint
@@ -139,7 +140,7 @@ def load_checkpoint(path):
         if not finite.all():
             bad = at + 8 * int(np.argmin(finite))
             raise ParseError(f"{path}: parameter {name!r} has a non-finite value at byte {bad}")
-        named[name].data = values.reshape(shape).copy()
+        named[name].data[...] = values.reshape(shape)
         named[name].requires_grad = False
     if r.off != len(buf):
         raise ParseError(f"{path}: {len(buf) - r.off} trailing bytes at byte {r.off}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
 from .tensor import Tensor, astensor
 
 # -- raw complex transforms -------------------------------------------
@@ -139,64 +139,35 @@ def _unfold_half(dst: np.ndarray, half: np.ndarray, negate: bool = False) -> Non
     mirror(tail[:, :0:-1], out=dst[:, 1:, k:])
 
 
-def _real_fft2(z: np.ndarray) -> np.ndarray:
-    """Re(FFT2(z)) over the grid axes of a (B, h, w, C) array, as
-    contiguous (B, h*w, C) token gradients."""
-    b, h, w, c = z.shape
-    return np.ascontiguousarray(np.fft.fft2(z, axes=(1, 2)).real).reshape(b, h * w, c)
-
-
-def spectral_features(x, h: int, w: int, mode: str = "reim") -> Tensor:
+def spectral_features(x, h: int, w: int) -> Tensor:
     """Per-token spectral features of a (B, h*w, C) token grid, scaled by 1/N.
 
-    The grid's 2-d DFT is taken per channel over the token axes. Under
-    ``mode="reim"`` token (k1, k2) gets the C real parts, then the C
-    imaginary parts, of F[k1, k2] (B, N, 2C); under ``"magnitude"`` the
-    C values |F[k1, k2]| (B, N, C). One node: the forward writes the
-    rfft half and its Hermitian mirror straight into the token layout
-    and scales in place. The reim map is linear, so its node keeps no
-    array; its vjp is Re(FFT2(conj(G) / N)) with G the cotangent as
-    complex numbers. The magnitude node keeps the spectrum, and its
-    gradient is 0 at exact zeros. Every value and gradient is the one
-    the chain of transposes, ``fft2d`` and a scale gives.
+    The grid's 2-d DFT is taken per channel over the token axes, and
+    token (k1, k2) gets the C real parts, then the C imaginary parts, of
+    F[k1, k2] (B, N, 2C). One node: the forward writes the rfft half and
+    its Hermitian mirror straight into the token layout and scales in
+    place. The map is linear, so the node keeps no array; its vjp is
+    Re(FFT2(conj(G) / N)) with G the cotangent as complex numbers. Every
+    value and gradient is the one the chain of transposes, ``fft2d`` and
+    a scale gives.
     """
     x = astensor(x)
     bsz, n, c = x.shape
     if h * w != n:
         raise DimensionError(f"token count {n} does not factor as {h}x{w}")
-    if mode not in ("reim", "magnitude"):
-        raise ConfigError(f"unknown spectral feature mode {mode!r}")
     half = np.fft.rfft2(x.data.reshape(bsz, h, w, c), axes=(1, 2))
     scale = 1.0 / n
-    if mode == "reim":
-        feats = np.empty((bsz, h, w, 2, c))
-        _unfold_half(feats[..., 0, :], half.real)
-        _unfold_half(feats[..., 1, :], half.imag, negate=True)
-        feats *= scale
-
-        def vjp(g):
-            g = g.reshape(bsz, h, w, 2, c)
-            z = np.empty((bsz, h, w, c), dtype=np.complex128)
-            np.multiply(g[..., 0, :], scale, out=z.real)
-            np.multiply(g[..., 1, :], -scale, out=z.imag)
-            return (_real_fft2(z),)
-
-        return Tensor._from_op(feats.reshape(bsz, n, 2 * c), (x,), vjp)
-
-    spec = np.empty((bsz, h, w, c), dtype=np.complex128)
-    _unfold_half(spec.real, half.real)
-    _unfold_half(spec.imag, half.imag, negate=True)
-    mag = np.hypot(spec.real, spec.imag)
-    with np.errstate(divide="ignore"):
-        inv = np.where(mag > 0, 1.0 / mag, 0.0)
-    mag *= scale
+    feats = np.empty((bsz, h, w, 2, c))
+    _unfold_half(feats[..., 0, :], half.real)
+    _unfold_half(feats[..., 1, :], half.imag, negate=True)
+    feats *= scale
 
     def vjp(g):
-        gi = g.reshape(bsz, h, w, c) * scale * inv
-        z = np.empty_like(spec)
-        np.multiply(gi, spec.real, out=z.real)
-        np.multiply(gi, spec.imag, out=z.imag)
-        np.negative(z.imag, out=z.imag)
-        return (_real_fft2(z),)
+        g = g.reshape(bsz, h, w, 2, c)
+        z = np.empty((bsz, h, w, c), dtype=np.complex128)
+        np.multiply(g[..., 0, :], scale, out=z.real)
+        np.multiply(g[..., 1, :], -scale, out=z.imag)
+        # Re(FFT2(z)) over the grid axes, as contiguous token gradients
+        return (np.ascontiguousarray(np.fft.fft2(z, axes=(1, 2)).real).reshape(bsz, n, c),)
 
-    return Tensor._from_op(mag.reshape(bsz, n, c), (x,), vjp)
+    return Tensor._from_op(feats.reshape(bsz, n, 2 * c), (x,), vjp)

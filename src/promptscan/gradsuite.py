@@ -421,25 +421,19 @@ def _mk_derive_params(rng, _i):
     c, t = 3, 4
     x_in = _leaf(rng, (2, 5, 3 * c + t))
     a_log = _leaf(rng, (c,), -1.5, 0.5)
-    w_delta = _leaf(rng, (c, c), -0.5, 0.5)
-    b_delta = _leaf(rng, (c,), -0.5, 0.5)
-    ws = [_w(rng, (2, 5, c)) for _ in range(4)]
+    ws = [_w(rng, (2, 5, c)) for _ in range(3)]
     wt = _w(rng, (2, 5, t))
 
     def forward():
-        pz, logits = derive_ssm_params(x_in, c, t, a_log=a_log, mode="zoh")
-        pd, _ = derive_ssm_params(
-            x_in, c, t, w_delta=w_delta, b_delta=b_delta, mode="direct"
-        )
+        p, logits = derive_ssm_params(x_in, c, t, a_log)
         return (
-            _wsum(pz.a_decay, ws[0])
-            + _wsum(pz.delta, ws[1])
-            + _wsum(pz.b_in + pz.c_raw, ws[2])
-            + _wsum(pd.a_decay, ws[3])
+            _wsum(p.a_decay, ws[0])
+            + _wsum(p.delta, ws[1])
+            + _wsum(p.b_in + p.c_raw, ws[2])
             + _wsum(logits, wt)
         )
 
-    return forward, [x_in, a_log, w_delta, b_delta]
+    return forward, [x_in, a_log]
 
 
 def _mk_route_soft(rng, _i):
@@ -460,20 +454,18 @@ def _mk_route_soft(rng, _i):
     return forward, [logits, pool.pool]
 
 
-def _mk_global_prompt(rng, i):
+def _mk_global_prompt(rng, _i):
     c, h, w_ = 2, 3, 3
-    feats = ("reim", "magnitude")[i % 2]
-    fdim = 2 * c if feats == "reim" else c
     x = _leaf(rng, (1, h * w_, c))
     params = GlobalPromptParams(
-        wq=_leaf(rng, (fdim, c), -0.7, 0.7),
-        wk=_leaf(rng, (fdim, c), -0.7, 0.7),
-        wv=_leaf(rng, (fdim, c), -0.7, 0.7),
+        wq=_leaf(rng, (2 * c, c), -0.7, 0.7),
+        wk=_leaf(rng, (2 * c, c), -0.7, 0.7),
+        wv=_leaf(rng, (2 * c, c), -0.7, 0.7),
     )
     w = _w(rng, (1, h * w_, c))
 
     def forward():
-        return _wsum(global_prompt(x, h, w_, params, features=feats), w)
+        return _wsum(global_prompt(x, h, w_, params), w)
 
     return forward, [x, params.wq, params.wk, params.wv]
 
@@ -510,15 +502,12 @@ def _mk_losses(rng, _i):
 
 # -- composites -------------------------------------------------------------
 
-def _mk_ssm_module(rng, i):
-    variant = i % 2
+def _mk_ssm_module(rng, _i):
     cfg = desk_config(
         channels=2,
         blocks=1,
         modules_per_block=1,
         pool_size=2,
-        router="split" if variant == 0 else "mlp",
-        discretization="zoh" if variant == 0 else "direct",
         seed=int(rng.integers(0, 2**31)),
     )
     mp = build_model(cfg).blocks[0].modules[0]

@@ -57,10 +57,10 @@ from .tensor import (
 class ModelConfig:
     """Architecture knobs. Defaults are the desk-scale preset.
 
-    ``discretization``: "zoh" keeps the state multiplier in (0,1);
-    "direct" uses the raw negative multiplier. ``router``: "split"
-    takes routing logits from the packed projection's last T channels,
-    "mlp" predicts them with a dedicated two-layer head. ``prompts``:
+    Every module is the one ASF-SSM design: a zero-order-hold decay
+    (state multiplier in (0, 1)), routing logits taken from the packed
+    projection's last T channels, and spectral attention over the real
+    and imaginary planes of the token grid's spectrum. ``prompts``:
     "fused" enables the full prompt path, "off" runs the bare causal
     scan in raster order (the ablation used by the reach tests).
     """
@@ -70,9 +70,6 @@ class ModelConfig:
     modules_per_block: int = 2
     pool_size: int = 8
     scale: int = 2
-    discretization: str = "zoh"
-    router: str = "split"
-    spectral_features: str = "reim"
     temperature: float = 1.0
     prompts: str = "fused"
     seed: int = 0
@@ -88,12 +85,6 @@ class ModelConfig:
             raise ConfigError("pool_size must be at least 2")
         if self.temperature <= 0:
             raise ConfigError("temperature must be positive")
-        if self.discretization not in ("zoh", "direct"):
-            raise ConfigError(f"unknown discretization {self.discretization!r}")
-        if self.router not in ("split", "mlp"):
-            raise ConfigError(f"unknown router {self.router!r}")
-        if self.spectral_features not in ("reim", "magnitude"):
-            raise ConfigError(f"unknown spectral features {self.spectral_features!r}")
         if self.prompts not in ("fused", "off"):
             raise ConfigError(f"unknown prompts mode {self.prompts!r}")
 
@@ -110,22 +101,15 @@ class ForwardMode:
 
 @dataclass
 class SsmModuleParams:
-    """One module's weights. A field the config does not read is None:
-    ``a_log`` exists only for zoh, ``w_delta``/``b_delta`` only for
-    direct, the route head only for the mlp router with prompts fused,
-    and ``pool``/``attn`` only with prompts fused."""
+    """One module's weights. ``a_log`` is the per-channel log rate of
+    the zero-order-hold decay; ``pool`` and ``attn`` are None unless
+    prompts are fused, since only the prompt path reads them."""
 
     w_mlp: Tensor
     b_mlp: Tensor
     w_in: Tensor
     b_in: Tensor
-    a_log: Tensor | None
-    w_delta: Tensor | None
-    b_delta: Tensor | None
-    w_route1: Tensor | None
-    b_route1: Tensor | None
-    w_route2: Tensor | None
-    b_route2: Tensor | None
+    a_log: Tensor
     pool: PromptPool | None
     attn: GlobalPromptParams | None
     ln_g: Tensor
@@ -176,40 +160,32 @@ def _only_if(read: bool, value):
 def build_model(cfg: ModelConfig) -> ModelParams:
     """Allocate and seed the parameters the config reads. Draw order is fixed.
 
-    Every optional weight is drawn whether or not the config reads it and
-    then dropped, so a kept tensor has the same values under every config
-    with the same seed.
+    The prompt weights are drawn whether or not the config reads them and
+    then dropped, so a kept tensor has the same values under either
+    ``prompts`` setting with the same seed.
     """
     cfg.validate()
     streams = seed_streams(cfg.seed)
     rng = np.random.default_rng(streams["init"])
     route_rng = np.random.default_rng(streams["route"])
     c, t = cfg.channels, cfg.pool_size
-    fdim = 2 * c if cfg.spectral_features == "reim" else c
-    zoh = cfg.discretization == "zoh"
     fused = cfg.prompts == "fused"
-    route_head = fused and cfg.router == "mlp"
 
     blocks = []
     for _ in range(cfg.blocks):
         modules = []
         for _ in range(cfg.modules_per_block):
             pool_seed = int(route_rng.integers(0, 2**32))
+            w_mlp = _uniform(rng, (c, c), c)
+            w_in = _uniform(rng, (c, 3 * c + t), c)
+            rng.random(2 * c * c + c * t)  # a fixed gap: later weights keep their seeded values
             modules.append(
                 SsmModuleParams(
-                    w_mlp=_uniform(rng, (c, c), c),
+                    w_mlp=w_mlp,
                     b_mlp=_zeros(c),
-                    w_in=_uniform(rng, (c, 3 * c + t), c),
+                    w_in=w_in,
                     b_in=_zeros(3 * c + t),
-                    a_log=_only_if(
-                        zoh, Tensor(np.full(c, stable_a_log_init(0.9)), requires_grad=True)
-                    ),
-                    w_delta=_only_if(not zoh, _uniform(rng, (c, c), c)),
-                    b_delta=_only_if(not zoh, _zeros(c)),
-                    w_route1=_only_if(route_head, _uniform(rng, (c, c), c)),
-                    b_route1=_only_if(route_head, _zeros(c)),
-                    w_route2=_only_if(route_head, _uniform(rng, (c, t), c)),
-                    b_route2=_only_if(route_head, _zeros(t)),
+                    a_log=Tensor(np.full(c, stable_a_log_init(0.9)), requires_grad=True),
                     pool=_only_if(
                         fused,
                         PromptPool(
@@ -221,9 +197,9 @@ def build_model(cfg: ModelConfig) -> ModelParams:
                     attn=_only_if(
                         fused,
                         GlobalPromptParams(
-                            wq=_uniform(rng, (fdim, c), fdim),
-                            wk=_uniform(rng, (fdim, c), fdim),
-                            wv=_uniform(rng, (fdim, c), fdim),
+                            wq=_uniform(rng, (2 * c, c), 2 * c),
+                            wk=_uniform(rng, (2 * c, c), 2 * c),
+                            wv=_uniform(rng, (2 * c, c), 2 * c),
                         ),
                     ),
                     ln_g=Tensor(np.ones(c), requires_grad=True),
@@ -259,19 +235,13 @@ def module_parameters(m: SsmModuleParams) -> dict:
         "w_in": m.w_in,
         "b_in": m.b_in,
         "a_log": m.a_log,
-        "w_delta": m.w_delta,
-        "b_delta": m.b_delta,
-        "w_route1": m.w_route1,
-        "b_route1": m.b_route1,
-        "w_route2": m.w_route2,
-        "b_route2": m.b_route2,
     }
     if m.pool is not None:
         out["pool"] = m.pool.pool
     if m.attn is not None:
         out.update(wq=m.attn.wq, wk=m.attn.wk, wv=m.attn.wv)
     out.update(ln_g=m.ln_g, ln_b=m.ln_b, w_out=m.w_out, b_out=m.b_out)
-    return {name: t for name, t in out.items() if t is not None}
+    return out
 
 
 def named_parameters(params: ModelParams) -> dict:
@@ -342,13 +312,8 @@ def _scan_operands(x, mp, cfg, h, w, mode, trace):
     if cfg.prompts == "off":
         ssm, _ = _scan_gates(x, mp, cfg, trace)
         return ssm.a_decay, ssm.b_in, ssm.c_raw, None
-    p_global = global_prompt(x, h, w, mp.attn, features=cfg.spectral_features)
-    ssm, split_logits = _scan_gates(x, mp, cfg, trace)
-    if cfg.router == "split":
-        logits = split_logits
-    else:
-        hidden = silu(linear(x, mp.w_route1, mp.b_route1))
-        logits = linear(hidden, mp.w_route2, mp.b_route2)
+    p_global = global_prompt(x, h, w, mp.attn)
+    ssm, logits = _scan_gates(x, mp, cfg, trace)
     route = route_tokens(logits, mp.pool, mode.train, route_mode=mode.route)
     p_spatial = gather_spatial_prompt(route, mp.pool)
     p_fused = fuse_prompts(p_spatial, p_global)
@@ -369,15 +334,7 @@ def _scan_gates(x, mp, cfg, trace):
     x_in = linear(silu(linear(x, mp.w_mlp, mp.b_mlp)), mp.w_in, mp.b_in)
     if trace is not None:
         trace["x_in"] = x_in.data.copy()
-    return derive_ssm_params(
-        x_in,
-        cfg.channels,
-        cfg.pool_size,
-        a_log=mp.a_log,
-        w_delta=mp.w_delta,
-        b_delta=mp.b_delta,
-        mode=cfg.discretization,
-    )
+    return derive_ssm_params(x_in, cfg.channels, cfg.pool_size, mp.a_log)
 
 
 def asf_ssb_forward(

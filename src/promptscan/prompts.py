@@ -460,22 +460,14 @@ def attention(q, k, v, scale: float) -> Tensor:
     return Tensor._from_op(out, (q, k, v), vjp)
 
 
-def global_prompt(
-    x: Tensor,
-    h: int,
-    w: int,
-    params: GlobalPromptParams,
-    *,
-    features: str = "reim",
-) -> Tensor:
+def global_prompt(x: Tensor, h: int, w: int, params: GlobalPromptParams) -> Tensor:
     """Whole-grid context vector per token via spectral attention.
 
     The token sequence is laid back on its h-by-w grid, transformed per
-    channel with a 2-d FFT, and the real/imaginary planes (or the
-    magnitude, under ``features="magnitude"``) become the attention
-    input. Spectral coefficients grow with token count, so features are
-    scaled by 1/N to keep the attention logits in a sane range at any
-    grid size.
+    channel with a 2-d FFT, and the real and imaginary planes become the
+    attention input. Spectral coefficients grow with token count, so
+    features are scaled by 1/N to keep the attention logits in a sane
+    range at any grid size.
 
     An image's spectrum sits in a few low frequencies, so most tokens'
     features, and with them most score bounds |scale| |q_i| |k_j|, are
@@ -483,18 +475,18 @@ def global_prompt(
     (exact to float64 rounding) and only the rest through score tiles.
     """
     x = astensor(x)
-    q, k, v = _spectral_qkv(x, h, w, params, features)
+    q, k, v = _spectral_qkv(x, h, w, params)
     return attention(q, k, v, 1.0 / np.sqrt(x.shape[-1]))
 
 
-def _spectral_qkv(x: Tensor, h: int, w: int, params: GlobalPromptParams, features: str):
+def _spectral_qkv(x: Tensor, h: int, w: int, params: GlobalPromptParams):
     """Q, K and V projections of the spectral features of ``x``.
 
     A function of its own so that the features, when no tape holds
     them, are freed before attention runs.
     """
     c = x.shape[-1]
-    feats = spectral_features(x, h, w, features)
+    feats = spectral_features(x, h, w)
     fdim = feats.shape[-1]
     for name, m in (("wq", params.wq), ("wk", params.wk), ("wv", params.wv)):
         if m.shape != (fdim, c):

@@ -27,10 +27,10 @@ from a zero start together with the running product of a inside the
 chunk; m - 1 carry steps then add product * (last state of the previous
 chunk). That is about 2 sqrt(N) interpreter steps instead of N. The
 scan multiplies decays rather than summing their logs, so exact zeros
-in a (an underflowed zoh decay) stay exact and negative multipliers
-(``direct`` mode) need no separate path. A decay product that overflows
-to a non-finite state although every decay and input is finite raises
-``NumericalConsistencyError`` rather than passing NaN on.
+in a (an underflowed zoh decay) stay exact and any finite multiplier,
+negative or above one, needs no separate path. A decay product that
+overflows to a non-finite state although every decay and input is
+finite raises ``NumericalConsistencyError`` rather than passing NaN on.
 
 The semantic token order lives inside the same node, so reordering
 records no tape nodes of its own. Only the two recurrences run in scan
@@ -57,8 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError, NumericalConsistencyError
-from .tensor import Tensor, astensor, exp, matmul, neg, softplus
+from .errors import ContractError, DimensionError, NumericalConsistencyError
+from .tensor import Tensor, astensor, exp, neg, softplus
 
 
 def _linear_scan(a, u):
@@ -168,8 +168,8 @@ def gated_recurrence(
 class SsmParams:
     """Per-token scan gates, each (B, N, C).
 
-    ``a_decay`` is the discrete state multiplier; under the default zoh
-    parameterization it lies in (0, 1) so the recurrence is a stable
+    ``a_decay`` is the discrete state multiplier; the zoh
+    parameterization keeps it in (0, 1) so the recurrence is a stable
     leaky accumulator.
     """
 
@@ -179,27 +179,14 @@ class SsmParams:
     a_decay: Tensor
 
 
-def derive_ssm_params(
-    x_in: Tensor,
-    channels: int,
-    pool_size: int,
-    *,
-    a_log: Tensor | None = None,
-    w_delta: Tensor | None = None,
-    b_delta: Tensor | None = None,
-    mode: str = "zoh",
-):
+def derive_ssm_params(x_in: Tensor, channels: int, pool_size: int, a_log: Tensor):
     """Split the packed projection into scan gates plus router logits.
 
     Channel layout of ``x_in`` is [delta | b_in | c_raw | router], sizes
     C, C, C, T. The timescale delta goes through a softplus so it is
-    always positive. Two discretizations are supported:
-
-    - ``zoh``: a_decay = exp(delta * A) with A = -exp(a_log) learned per
-      channel, which keeps a_decay in (0, 1) for any delta > 0.
-    - ``direct``: a_decay = -exp(linear(delta)), the multiplier used as
-      produced. It is negative and unbounded below, so stability is the
-      caller's problem; exposed as a config choice, not the default.
+    always positive, and the zero-order hold of Mamba gives
+    a_decay = exp(delta * A) with A = -exp(a_log) learned per channel,
+    which keeps a_decay in (0, 1) for any delta > 0.
 
     Returns (SsmParams, router_logits).
     """
@@ -215,17 +202,7 @@ def derive_ssm_params(
     b_in = x_in[..., c : 2 * c]
     c_raw = x_in[..., 2 * c : 3 * c]
     logits = x_in[..., 3 * c :]
-
-    if mode == "zoh":
-        if a_log is None:
-            raise ContractError("zoh mode needs the per-channel a_log parameter")
-        a_decay = exp(delta * neg(exp(a_log)))
-    elif mode == "direct":
-        if w_delta is None or b_delta is None:
-            raise ContractError("direct mode needs the delta projection weights")
-        a_decay = neg(exp(matmul(delta, w_delta) + b_delta))
-    else:
-        raise ConfigError(f"unknown discretization mode {mode!r}")
+    a_decay = exp(delta * neg(exp(a_log)))
     return SsmParams(delta=delta, b_in=b_in, c_raw=c_raw, a_decay=a_decay), logits
 
 

@@ -3,16 +3,17 @@
 Values are float64 numpy arrays. The graph is kept apart from the
 values: every differentiable operation that touches a grad-tracked
 tensor returns a :class:`Tensor` holding its value and a small record
-holding the records of its parents (a leaf or an untracked parent stays
-as its Tensor) and a vector-Jacobian closure. A closure captures only
-the arrays, shapes and ``requires_grad`` flags it reads, never a
-Tensor, so an intermediate's array is freed as soon as the forward code
-drops it unless some vjp saved it: graph records plus explicitly saved
-tensors, as in PyTorch (Paszke et al. 2019). ``Tensor.backward()``
-replays the records in reverse topological order and accumulates
-gradients on the tracked leaves. A tape is reachable only from its
-result, so independent forward passes never share state and are safe
-to run concurrently.
+holding the records of its parents (a tracked leaf stays as its Tensor,
+and every untracked parent is one shared constant record) and a
+vector-Jacobian closure. A closure captures only the arrays, shapes and
+``requires_grad`` flags it reads, never a Tensor, so an intermediate's
+array is freed as soon as the forward code drops it unless some vjp
+saved it: graph records plus explicitly saved tensors, as in PyTorch
+(Paszke et al. 2019). ``Tensor.backward()`` replays the records in
+reverse topological order and accumulates gradients on the tracked
+leaves. A tape is reachable only from its result, and the constant
+record has no state to change, so independent forward passes never
+share state and are safe to run concurrently.
 
 Summation order is fixed (row-major numpy reductions) so results are
 deterministic and directly comparable against naive-loop oracles.
@@ -35,6 +36,19 @@ class _Node:
     def __init__(self, parents, vjp):
         self._parents = parents
         self._vjp = vjp
+
+
+class _Untracked:
+    """The record that stands for every untracked parent on a tape: no
+    gradient flows to it, so it keeps no array."""
+
+    __slots__ = ()
+    requires_grad = False
+    _parents = ()
+    _vjp = None
+
+
+_UNTRACKED = _Untracked()
 
 
 class Tensor:
@@ -73,7 +87,11 @@ class Tensor:
         out._node = None
         if out.requires_grad:
             out._node = _Node(
-                tuple(p if p._node is None else p._node for p in parents), vjp
+                tuple(
+                    p._node if p._node is not None else p if p.requires_grad else _UNTRACKED
+                    for p in parents
+                ),
+                vjp,
             )
         return out
 

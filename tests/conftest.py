@@ -20,7 +20,8 @@ def traced_peak():
 
 def _tape_objects(root):
     """Every object reachable from ``root`` through ``_parents``, ``root``
-    first: the tape's records and the leaf or untracked tensors they read."""
+    first: the tape's records, the tracked leaves they read and the one
+    record that stands for every untracked parent."""
     seen, stack = {id(root): root}, [root]
     while stack:
         for p in stack.pop()._parents:

@@ -25,9 +25,8 @@ def _tiny_model(seed=0):
 
 
 def test_round_trip_restores_every_array_exactly(tmp_path):
-    # the mlp/direct config holds the route head and delta projection
-    # that the default config leaves out
-    for extra in ({}, {"router": "mlp", "discretization": "direct"}):
+    # prompts=off holds no prompt pool and no attention weights
+    for extra in ({}, {"prompts": "off"}):
         cfg = desk_config(seed=3, **TINY, **extra)
         params = build_model(cfg)
         rng = np.random.default_rng(5)
@@ -135,6 +134,19 @@ def test_unsupported_version(tmp_path):
     raw[len(MAGIC)] = 99
     path.write_bytes(bytes(raw))
     with pytest.raises(ParseError, match="version 99"):
+        load_checkpoint(path)
+
+
+def test_model_key_the_design_does_not_have_is_a_parse_error(tmp_path):
+    # files written while the model had a router option carry this line
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, *_tiny_model())
+    raw = path.read_bytes()
+    at = len(MAGIC) + 4
+    (cfg_len,) = struct.unpack_from("<I", raw, at)
+    text = raw[at + 4 : at + 4 + cfg_len] + b"model.router=split\n"
+    path.write_bytes(raw[:at] + struct.pack("<I", len(text)) + text + raw[at + 4 + cfg_len :])
+    with pytest.raises(ParseError, match=r"unknown key 'model\.router'"):
         load_checkpoint(path)
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from promptscan.config import (
@@ -10,6 +12,8 @@ from promptscan.config import (
 )
 from promptscan.errors import ParseError
 from promptscan.network import ModelConfig
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_empty_text_gives_defaults():
@@ -104,18 +108,28 @@ def test_load_config_round_trip(tmp_path):
 
 def test_model_config_round_trip():
     m = ModelConfig(channels=6, blocks=1, modules_per_block=1, pool_size=2,
-                    scale=4, discretization="direct", router="mlp",
-                    spectral_features="magnitude", temperature=0.5,
-                    prompts="off", seed=11)
+                    scale=4, temperature=0.5, prompts="off", seed=11)
     assert parse_model_config(format_model_config(m)) == m
 
 
 def test_string_fields_parse():
-    cfg = parse_config("model.router=mlp\nmodel.discretization=direct\n")
-    assert cfg.model.router == "mlp"
-    assert cfg.model.discretization == "direct"
+    cfg = parse_config("model.prompts=off\n")
+    assert cfg.model.prompts == "off"
 
 
 def test_bad_string_choice_is_a_parse_error():
-    with pytest.raises(ParseError, match="router"):
-        parse_config("model.router=oracle\n")
+    with pytest.raises(ParseError, match="prompts"):
+        parse_config("model.prompts=oracle\n")
+
+
+def test_presets_parse_and_set_every_key():
+    """desk.cfg restates the defaults, and both presets name every key, so
+    a key added to or dropped from the config classes shows up here."""
+    want = {line.partition("=")[0] for line in format_config(RunConfig()).splitlines()}
+    for name in ("desk.cfg", "fullscale.cfg"):
+        path = CONFIGS / name
+        load_config(path)
+        lines = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines()]
+        keys = {ln.partition("=")[0] for ln in lines if ln and not ln.startswith("#")}
+        assert keys == want, name
+    assert load_config(CONFIGS / "desk.cfg") == RunConfig()

@@ -144,28 +144,24 @@ def test_backward_through_both_planes_runs_one_transform(monkeypatch):
     np.testing.assert_allclose(x.grad, want, atol=1e-11)
 
 
-def _composite_features(x, h, w, mode):
+def _composite_features(x, h, w):
     """The chain the spectral-feature node replaced: lay the tokens on the
     grid, transform, move the channels last and scale by 1/N."""
     bsz, n, c = x.shape
     spec = fft2d(transpose(reshape(x, (bsz, h, w, c)), (0, 3, 1, 2)))
-    if mode == "reim":
-        feats = reshape(transpose(spec.planes, (0, 2, 3, 4, 1)), (bsz, n, 2 * c))
-    else:
-        feats = reshape(transpose(spec.magnitude(), (0, 2, 3, 1)), (bsz, n, c))
+    feats = reshape(transpose(spec.planes, (0, 2, 3, 4, 1)), (bsz, n, 2 * c))
     return feats * (1.0 / n)
 
 
-@pytest.mark.parametrize("mode", ["reim", "magnitude"])
 @pytest.mark.parametrize("hw", [(4, 6), (5, 7), (6, 5), (3, 4), (1, 5), (8, 1)])
-def test_spectral_features_are_one_node_matching_the_fft2d_chain(mode, hw):
+def test_spectral_features_are_one_node_matching_the_fft2d_chain(hw):
     h, w = hw
     rng = np.random.default_rng(h * 10 + w)
     x0 = rng.standard_normal((3, h * w, 4))
     results = []
     for fn in (spectral_features, _composite_features):
         x = Tensor(x0.copy(), requires_grad=True)
-        out = fn(x, h, w, mode)
+        out = fn(x, h, w)
         if fn is spectral_features:
             assert out._parents == (x,)
         g = rng.standard_normal(out.shape) if not results else results[0][2]
@@ -180,6 +176,6 @@ def test_spectral_features_are_one_node_matching_the_fft2d_chain(mode, hw):
 
 def test_reim_feature_node_keeps_no_array():
     x = Tensor(np.random.default_rng(5).standard_normal((2, 12, 3)), requires_grad=True)
-    out = spectral_features(x, 3, 4, "reim")
+    out = spectral_features(x, 3, 4)
     cells = [c.cell_contents for c in out._vjp.__closure__]
     assert not any(isinstance(c, (np.ndarray, Tensor)) for c in cells)

@@ -1,3 +1,4 @@
+import hashlib
 import weakref
 
 import numpy as np
@@ -77,15 +78,11 @@ def test_default_config_holds_only_the_weights_it_reads():
     named = named_parameters(build_model(ModelConfig()))
     assert len(named) == 60
     assert sum(t.size for t in named.values()) == 85_778
-    for dropped in ("w_delta", "b_delta", "w_route1", "b_route1", "w_route2", "b_route2"):
-        assert not any(n.endswith("." + dropped) for n in named)
 
 
 @pytest.mark.parametrize("prompts", ["fused", "off"])
-@pytest.mark.parametrize("disc", ["zoh", "direct"])
-@pytest.mark.parametrize("router", ["split", "mlp"])
-def test_every_parameter_but_the_mask_gate_gets_a_gradient(router, disc, prompts):
-    cfg = desk_config(**TINY, router=router, discretization=disc, prompts=prompts)
+def test_every_parameter_but_the_mask_gate_gets_a_gradient(prompts):
+    cfg = desk_config(**TINY, prompts=prompts)
     params = build_model(cfg)
     rng = np.random.default_rng(4)
     out = model_forward(
@@ -99,13 +96,17 @@ def test_every_parameter_but_the_mask_gate_gets_a_gradient(router, disc, prompts
     assert missing == []
 
 
-def test_kept_weights_do_not_depend_on_which_others_the_config_reads():
-    default = named_parameters(build_model(desk_config(seed=3)))
-    other = named_parameters(build_model(desk_config(seed=3, router="mlp", discretization="direct")))
-    shared = default.keys() & other.keys()
-    assert len(shared) == 56
-    for name in shared:
-        assert default[name].data.tobytes() == other[name].data.tobytes()
+def test_seeded_init_is_pinned():
+    """The init draw stream is part of the replay contract: saved runs and
+    the bench's reference checks rebuild the same weights from a seed."""
+    named = named_parameters(build_model(desk_config(seed=3)))
+    digest = hashlib.sha256()
+    for name in sorted(named):
+        digest.update(name.encode("utf-8"))
+        digest.update(named[name].data.tobytes())
+    assert digest.hexdigest() == (
+        "884ff0b5803dfdb52178ad78a744d3cd75dab52d4daa45b8fc3cfb955b6f854f"
+    )
 
 
 def test_module_with_zero_head_makes_block_an_identity():
@@ -251,22 +252,8 @@ def test_config_validation_messages_name_fields():
         ModelConfig(pool_size=1).validate()
     with pytest.raises(ConfigError, match="temperature"):
         ModelConfig(temperature=-1.0).validate()
-    with pytest.raises(ConfigError, match="router"):
-        ModelConfig(router="dense").validate()
-    with pytest.raises(ConfigError, match="discretization"):
-        ModelConfig(discretization="euler").validate()
-
-
-def test_router_and_discretization_variants_run():
-    for router in ("split", "mlp"):
-        for disc in ("zoh", "direct"):
-            cfg = desk_config(**TINY, router=router, discretization=disc)
-            params = build_model(cfg)
-            out = model_forward(
-                Tensor(np.full((1, 1, 8, 8), 80.0)), params, cfg,
-                ForwardMode(train=True),
-            )
-            assert np.all(np.isfinite(out.data))
+    with pytest.raises(ConfigError, match="prompts"):
+        ModelConfig(prompts="dense").validate()
 
 
 def test_prompts_off_mode_runs_and_differs():

@@ -133,19 +133,6 @@ def test_global_prompt_matches_hand_oracle():
     np.testing.assert_allclose(out[0], attn @ v, atol=1e-12)
 
 
-def test_global_prompt_magnitude_features():
-    rng = np.random.default_rng(5)
-    c = 3
-    x = Tensor(rng.standard_normal((1, 9, c)))
-    params = GlobalPromptParams(
-        wq=Tensor(rng.standard_normal((c, c))),
-        wk=Tensor(rng.standard_normal((c, c))),
-        wv=Tensor(rng.standard_normal((c, c))),
-    )
-    out = global_prompt(x, 3, 3, params, features="magnitude")
-    assert out.shape == (1, 9, c)
-
-
 def test_global_prompt_reim_features_keep_the_concat_layout(monkeypatch):
     """[re | im] from the stacked planes equals concat of the two flattened
     planes bit for bit."""

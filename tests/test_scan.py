@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from promptscan.errors import ConfigError, ContractError, DimensionError, NumericalConsistencyError
+from promptscan.errors import ContractError, DimensionError, NumericalConsistencyError
 from promptscan.scan import (
     SemanticOrder,
     SsmParams,
@@ -99,8 +99,8 @@ def test_recurrence_vjp_matches_sequential_adjoint():
 
 
 def test_zero_state_carries_no_overflowed_decay_product():
-    # direct-mode multipliers this large overflow a chunk's decay product
-    # to inf; the states before the last token are exactly 0 and must stay so
+    # finite multipliers this large overflow a chunk's decay product to
+    # inf; the states before the last token are exactly 0 and must stay so
     n = 100
     a = np.full((1, n, 1), -1e40)
     x, b, c = np.zeros((1, n, 1)), np.ones((1, n, 1)), np.ones((1, n, 1))
@@ -311,7 +311,7 @@ def test_derive_split_layout_oracle():
     c, t = 3, 4
     raw = rng.standard_normal((2, 5, 3 * c + t))
     a_log = rng.standard_normal(c)
-    p, logits = derive_ssm_params(Tensor(raw), c, t, a_log=Tensor(a_log), mode="zoh")
+    p, logits = derive_ssm_params(Tensor(raw), c, t, Tensor(a_log))
 
     delta_ref = np.log1p(np.exp(-np.abs(raw[..., :c]))) + np.maximum(raw[..., :c], 0)
     np.testing.assert_allclose(p.delta.data, delta_ref, atol=1e-12)
@@ -322,28 +322,11 @@ def test_derive_split_layout_oracle():
     assert np.all(p.a_decay.data > 0) and np.all(p.a_decay.data < 1)
 
 
-def test_derive_direct_mode_is_negative_unbounded():
-    rng = np.random.default_rng(5)
-    c, t = 2, 2
-    raw = rng.standard_normal((1, 3, 3 * c + t))
-    p, _ = derive_ssm_params(
-        Tensor(raw), c, t,
-        w_delta=Tensor(rng.standard_normal((c, c))), b_delta=Tensor(np.zeros(c)),
-        mode="direct",
-    )
-    assert np.all(p.a_decay.data < 0)
-
-
-def test_derive_rejects_wrong_width_and_bad_mode():
+def test_derive_rejects_wrong_width():
     x = Tensor(np.zeros((1, 3, 7)))
     with pytest.raises(DimensionError) as err:
-        derive_ssm_params(x, 3, 4, a_log=Tensor(np.zeros(3)))
+        derive_ssm_params(x, 3, 4, Tensor(np.zeros(3)))
     assert "3C+T" in str(err.value)
-    ok = Tensor(np.zeros((1, 3, 13)))
-    with pytest.raises(ConfigError):
-        derive_ssm_params(ok, 3, 4, a_log=Tensor(np.zeros(3)), mode="euler")
-    with pytest.raises(ContractError):
-        derive_ssm_params(ok, 3, 4, mode="zoh")  # a_log missing
 
 
 def test_stable_a_log_init_hits_target_decay_at_zero_input():
