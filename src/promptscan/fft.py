@@ -10,9 +10,9 @@ inputs. A spectrum is one tape node whose value holds both planes in one
 real array, ``planes[..., 0]`` the real part and ``planes[..., 1]`` the
 imaginary part (the memory layout of a complex array), so the backward
 pass of a transform is a single transform however many consumers read
-its planes. :func:`spectral_features` is the spectral attention's front
-end: the transform of a token grid over its grid axes, laid out per
-token, as one node.
+its planes. :func:`spectral_features_raw` is the spectral attention's
+front end: the transform of a token grid over its grid axes, laid out
+per token; :func:`spectral_features` is the same map as one node.
 """
 
 from __future__ import annotations
@@ -139,35 +139,47 @@ def _unfold_half(dst: np.ndarray, half: np.ndarray, negate: bool = False) -> Non
     mirror(tail[:, :0:-1], out=dst[:, 1:, k:])
 
 
-def spectral_features(x, h: int, w: int) -> Tensor:
+def spectral_features_raw(x: np.ndarray, h: int, w: int) -> np.ndarray:
     """Per-token spectral features of a (B, h*w, C) token grid, scaled by 1/N.
 
     The grid's 2-d DFT is taken per channel over the token axes, and
     token (k1, k2) gets the C real parts, then the C imaginary parts, of
-    F[k1, k2] (B, N, 2C). One node: the forward writes the rfft half and
-    its Hermitian mirror straight into the token layout and scales in
-    place. The map is linear, so the node keeps no array; its vjp is
-    Re(FFT2(conj(G) / N)) with G the cotangent as complex numbers. Every
+    F[k1, k2] (B, N, 2C). The rfft half and its Hermitian mirror are
+    written straight into the token layout and scaled in place.
+    """
+    bsz, n, c = x.shape
+    if h * w != n:
+        raise DimensionError(f"token count {n} does not factor as {h}x{w}")
+    half = np.fft.rfft2(x.reshape(bsz, h, w, c), axes=(1, 2))
+    feats = np.empty((bsz, h, w, 2, c))
+    _unfold_half(feats[..., 0, :], half.real)
+    _unfold_half(feats[..., 1, :], half.imag, negate=True)
+    feats *= 1.0 / n
+    return feats.reshape(bsz, n, 2 * c)
+
+
+def spectral_features_grad(g: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The token gradient of :func:`spectral_features_raw` for a (B, N, 2C)
+    cotangent G: the map is linear, so it is Re(FFT2(conj(G) / N)) with G
+    read as complex numbers, as contiguous (B, N, C) token gradients."""
+    bsz, n, c2 = g.shape
+    c, scale = c2 // 2, 1.0 / n
+    g = g.reshape(bsz, h, w, 2, c)
+    z = np.empty((bsz, h, w, c), dtype=np.complex128)
+    np.multiply(g[..., 0, :], scale, out=z.real)
+    np.multiply(g[..., 1, :], -scale, out=z.imag)
+    return np.ascontiguousarray(np.fft.fft2(z, axes=(1, 2)).real).reshape(bsz, n, c)
+
+
+def spectral_features(x, h: int, w: int) -> Tensor:
+    """:func:`spectral_features_raw` as one node. The map is linear, so the
+    node keeps no array; its vjp is :func:`spectral_features_grad`. Every
     value and gradient is the one the chain of transposes, ``fft2d`` and
     a scale gives.
     """
     x = astensor(x)
-    bsz, n, c = x.shape
-    if h * w != n:
-        raise DimensionError(f"token count {n} does not factor as {h}x{w}")
-    half = np.fft.rfft2(x.data.reshape(bsz, h, w, c), axes=(1, 2))
-    scale = 1.0 / n
-    feats = np.empty((bsz, h, w, 2, c))
-    _unfold_half(feats[..., 0, :], half.real)
-    _unfold_half(feats[..., 1, :], half.imag, negate=True)
-    feats *= scale
-
-    def vjp(g):
-        g = g.reshape(bsz, h, w, 2, c)
-        z = np.empty((bsz, h, w, c), dtype=np.complex128)
-        np.multiply(g[..., 0, :], scale, out=z.real)
-        np.multiply(g[..., 1, :], -scale, out=z.imag)
-        # Re(FFT2(z)) over the grid axes, as contiguous token gradients
-        return (np.ascontiguousarray(np.fft.fft2(z, axes=(1, 2)).real).reshape(bsz, n, c),)
-
-    return Tensor._from_op(feats.reshape(bsz, n, 2 * c), (x,), vjp)
+    return Tensor._from_op(
+        spectral_features_raw(x.data, h, w),
+        (x,),
+        lambda g: (spectral_features_grad(g, h, w),),
+    )

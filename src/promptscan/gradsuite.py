@@ -63,7 +63,7 @@ from .prompts import (
     route_tokens,
 )
 from .resize import resample
-from .scan import SemanticOrder, SsmParams, derive_ssm_params, gated_recurrence, selective_scan
+from .scan import SemanticOrder, derive_ssm_params, gated_recurrence, prompted_scan
 from .tensor import (
     Tensor,
     absolute,
@@ -405,14 +405,12 @@ def _mk_selective_scan(rng, _i):
     b = _leaf(rng, (bsz, n, c))
     cr = _leaf(rng, (bsz, n, c))
     pf = _leaf(rng, (bsz, n, c))
-    delta = Tensor(rng.uniform(0.1, 1.0, (bsz, n, c)))
     perm = np.stack([rng.permutation(n) for _ in range(bsz)])
     order = SemanticOrder(perm=perm, inv_perm=np.argsort(perm, axis=-1))
     w = _w(rng, (bsz, n, c))
 
     def forward():
-        p = SsmParams(delta=delta, b_in=b, c_raw=cr, a_decay=a)
-        return _wsum(selective_scan(x, p, pf, order=order), w)
+        return _wsum(prompted_scan(x, a, b, cr + pf, order), w)
 
     return forward, [x, a, b, cr, pf]
 
@@ -421,17 +419,12 @@ def _mk_derive_params(rng, _i):
     c, t = 3, 4
     x_in = _leaf(rng, (2, 5, 3 * c + t))
     a_log = _leaf(rng, (c,), -1.5, 0.5)
-    ws = [_w(rng, (2, 5, c)) for _ in range(3)]
+    ws = [_w(rng, (2, 5, c)) for _ in range(2)]
     wt = _w(rng, (2, 5, t))
 
     def forward():
-        p, logits = derive_ssm_params(x_in, c, t, a_log)
-        return (
-            _wsum(p.a_decay, ws[0])
-            + _wsum(p.delta, ws[1])
-            + _wsum(p.b_in + p.c_raw, ws[2])
-            + _wsum(logits, wt)
-        )
+        a_decay, b_in, c_raw, logits = derive_ssm_params(x_in, c, t, a_log)
+        return _wsum(a_decay, ws[0]) + _wsum(b_in + c_raw, ws[1]) + _wsum(logits, wt)
 
     return forward, [x_in, a_log]
 

@@ -307,13 +307,12 @@ def asf_ssm_forward(
 def _scan_operands(x, mp, cfg, h, w, mode, trace):
     """The decay, the input gate, the prompted output gate c_raw + p_fused
     and the semantic order of one module, as ``prompted_scan``'s
-    arguments after ``x``. The timescale, c_raw and the prompts die on
-    return."""
+    arguments after ``x``. c_raw and the prompts die on return."""
     if cfg.prompts == "off":
-        ssm, _ = _scan_gates(x, mp, cfg, trace)
-        return ssm.a_decay, ssm.b_in, ssm.c_raw, None
+        a_decay, b_in, c_raw, _ = _scan_gates(x, mp, cfg, trace)
+        return a_decay, b_in, c_raw, None
     p_global = global_prompt(x, h, w, mp.attn)
-    ssm, logits = _scan_gates(x, mp, cfg, trace)
+    a_decay, b_in, c_raw, logits = _scan_gates(x, mp, cfg, trace)
     route = route_tokens(logits, mp.pool, mode.train, route_mode=mode.route)
     p_spatial = gather_spatial_prompt(route, mp.pool)
     p_fused = fuse_prompts(p_spatial, p_global)
@@ -324,11 +323,11 @@ def _scan_operands(x, mp, cfg, h, w, mode, trace):
         trace["p_global"] = p_global.data.copy()
         trace["p_fused"] = p_fused.data.copy()
         trace["perm"] = None if order is None else order.perm.copy()
-    return ssm.a_decay, ssm.b_in, ssm.c_raw + p_fused, order
+    return a_decay, b_in, c_raw + p_fused, order
 
 
 def _scan_gates(x, mp, cfg, trace):
-    """The scan gates and the router's split logits from the gated
+    """The decay, the two gates and the router's logits from the gated
     projection of ``x``. The trunk dies once projected, and the packed
     projection on return."""
     x_in = linear(silu(linear(x, mp.w_mlp, mp.b_mlp)), mp.w_in, mp.b_in)

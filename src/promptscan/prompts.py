@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-from .fft import spectral_features
-from .tensor import Tensor, astensor, matmul, softmax
+from .fft import spectral_features_grad, spectral_features_raw
+from .tensor import Tensor, _unbroadcast, astensor, matmul, softmax
 
 # keys per attention tile, and score elements per (query block x key
 # tile) over the whole batch: 2**16 float64 values, 512 KiB, so that a
@@ -369,12 +369,15 @@ def attention(q, k, v, scale: float) -> Tensor:
     A row whose total underflows (below 1e-200: the bound overshoots its
     true max by about 460 or more, which needs extreme logits) or is NaN
     is recomputed with its exact max over all keys, and its total and
-    output replace the parts' sums. Forward keeps the per-row log-sum-
-    exp m_i + log(total), split or not; backward recomputes each tile's
-    probabilities from it with the same GEMM over all pairs and gets
-    dp - delta as [g, -delta] @ [v^T; 1] (Rabe & Staats 2021; Dao et al.
-    2022), so it needs no fallback and no split. ``scale`` is applied
-    once to the (N, C) gradients of q and k.
+    output replace the parts' sums. The node keeps q, k, v, the output
+    and the per-row log-sum-exp m_i + log(total), split or not; backward
+    recomputes each tile's probabilities from it with the same GEMM over
+    all pairs and gets dp - delta as [g, -delta] @ [v^T; 1] (Rabe &
+    Staats 2021; Dao et al. 2022), so it needs no fallback and no split.
+    ``scale`` is applied once to the (N, C) gradients of q and k. The
+    forward and the backward are ``_attention_forward`` and
+    ``_attention_grads`` on plain arrays, which ``global_prompt`` runs
+    inside its own node.
     """
     q, k, v = astensor(q), astensor(k), astensor(v)
     if not (
@@ -387,21 +390,31 @@ def attention(q, k, v, scale: float) -> Tensor:
             f"attention operands do not fit: q {tuple(q.shape)}, "
             f"k {tuple(k.shape)}, v {tuple(v.shape)}"
         )
+    qd, kd, vd = q.data, k.data, v.data
+    out, lse = _attention_forward(qd, kd, vd, scale)
+    return Tensor._from_op(
+        out, (q, k, v), lambda g: _attention_grads(qd, kd, vd, out, lse, g, scale)
+    )
+
+
+def _attention_forward(q, k, v, scale):
+    """``attention``'s forward on plain (B, N, C) arrays: the output and
+    each row's log-sum-exp, (B, N, 1)."""
     bsz, nk, c = k.shape
-    sq = abs(scale) * np.linalg.norm(q.data, axis=-1)
-    kn = np.linalg.norm(k.data, axis=-1)
+    sq = abs(scale) * np.linalg.norm(q, axis=-1)
+    kn = np.linalg.norm(k, axis=-1)
     shift = sq[..., None] * kn.max(axis=1)[:, None, None]
     splits = [_far_split(sq[b], kn[b], c, v.shape[2]) for b in range(bsz)]
     out = np.empty(q.shape[:2] + v.shape[2:])
     total = np.empty(q.shape[:2])
     buf = np.empty(_ATTN_BLOCK_ELEMS)
     if not any(splits):  # every row heavy: the whole batch in one tiled loop
-        _exact_sums(_augment(q.data * scale, -shift), _augment_t(k.data), v.data, buf, out, total)
+        _exact_sums(_augment(q * scale, -shift), _augment_t(k), v, buf, out, total)
     else:
         # an element without a split is all heavy rows
         for b, split in enumerate(splits):
             order, heavy, chunks = split or (None, np.arange(q.shape[1]), ())
-            qb, kb, vb, ob, tb = q.data[b], k.data[b], v.data[b], out[b], total[b]
+            qb, kb, vb, ob, tb = q[b], k[b], v[b], out[b], total[b]
             if heavy.size:  # else no [k, 1] copy of all keys is built
                 _row_sums(qb, scale, shift[b], heavy, _augment_t(kb), vb, None, buf, ob, tb)
             # the chunks' cuts grow, and the far keys' moments with them by
@@ -420,44 +433,46 @@ def attention(q, k, v, scale: float) -> Tensor:
     # "not >=" also takes a NaN total: the bound is inf * 0 when one
     # norm overflows and the other is zero
     for b, i in zip(*np.nonzero(~(total >= 1e-200))):
-        row = k.data[b] @ (q.data[b, i] * scale)
+        row = k[b] @ (q[b, i] * scale)
         top = row.max()
         row -= top
         np.exp(row, out=row)
         shift[b, i] = top
         total[b, i] = row.sum()
-        out[b, i] = row @ v.data[b]
+        out[b, i] = row @ v[b]
     out /= total[..., None]
-    lse = shift + np.log(total)[..., None]
-    qd, kd, vd = q.data, k.data, v.data
+    return out, shift + np.log(total)[..., None]
 
-    def vjp(g):
-        delta = (g * out).sum(axis=-1, keepdims=True)
-        gq = np.zeros_like(qd)
-        gk = np.zeros_like(kd)
-        gv = np.zeros_like(vd)
-        qa = _augment(qd * scale, -lse)
-        kat = _augment_t(kd)
-        ga = _augment(g, -delta)
-        vat = _augment_t(vd)
-        rows, tk = _block_shape(bsz, qd.shape[1], nk)
-        blocks = [slice(lo, lo + rows) for lo in range(0, qd.shape[1], rows)]
-        tiles = [slice(lo, lo + tk) for lo in range(0, nk, tk)]
-        pbuf, dbuf = np.empty((2, bsz, rows, tk))
-        for blk in blocks:
-            ga_blk, g_blk, q_blk = ga[:, blk], g[:, blk], qd[:, blk]
-            for tile in tiles:
-                p = _probs(qa[:, blk], kat[..., tile], pbuf)
-                gv[:, tile] += p.swapaxes(-1, -2) @ g_blk
-                ds = np.matmul(ga_blk, vat[..., tile], out=dbuf[:, : p.shape[1], : p.shape[2]])
-                ds *= p
-                gq[:, blk] += ds @ kd[:, tile]
-                gk[:, tile] += ds.swapaxes(-1, -2) @ q_blk
-        gq *= scale
-        gk *= scale
-        return gq, gk, gv
 
-    return Tensor._from_op(out, (q, k, v), vjp)
+def _attention_grads(q, k, v, out, lse, g, scale):
+    """``attention``'s backward on plain arrays: the gradients of q, k and
+    v for the cotangent ``g`` of the output ``out``, with each tile's
+    probabilities recomputed from the log-sum-exp ``lse``."""
+    bsz, nk = k.shape[:2]
+    delta = (g * out).sum(axis=-1, keepdims=True)
+    gq = np.zeros_like(q)
+    gk = np.zeros_like(k)
+    gv = np.zeros_like(v)
+    qa = _augment(q * scale, -lse)
+    kat = _augment_t(k)
+    ga = _augment(g, -delta)
+    vat = _augment_t(v)
+    rows, tk = _block_shape(bsz, q.shape[1], nk)
+    blocks = [slice(lo, lo + rows) for lo in range(0, q.shape[1], rows)]
+    tiles = [slice(lo, lo + tk) for lo in range(0, nk, tk)]
+    pbuf, dbuf = np.empty((2, bsz, rows, tk))
+    for blk in blocks:
+        ga_blk, g_blk, q_blk = ga[:, blk], g[:, blk], q[:, blk]
+        for tile in tiles:
+            p = _probs(qa[:, blk], kat[..., tile], pbuf)
+            gv[:, tile] += p.swapaxes(-1, -2) @ g_blk
+            ds = np.matmul(ga_blk, vat[..., tile], out=dbuf[:, : p.shape[1], : p.shape[2]])
+            ds *= p
+            gq[:, blk] += ds @ k[:, tile]
+            gk[:, tile] += ds.swapaxes(-1, -2) @ q_blk
+    gq *= scale
+    gk *= scale
+    return gq, gk, gv
 
 
 def global_prompt(x: Tensor, h: int, w: int, params: GlobalPromptParams) -> Tensor:
@@ -473,27 +488,42 @@ def global_prompt(x: Tensor, h: int, w: int, params: GlobalPromptParams) -> Tens
     features, and with them most score bounds |scale| |q_i| |k_j|, are
     tiny: ``attention`` runs those pairs through its far-field series
     (exact to float64 rounding) and only the rest through score tiles.
+
+    One node with parents x, wq, wk and wv. The forward builds the
+    features and the projections q, k and v as plain arrays and runs
+    attention's forward; the node keeps the features, the output and
+    each row's log-sum-exp (and the weights), not q, k or v. Its vjp
+    rebuilds them with the same three GEMMs, runs attention's tiled vjp,
+    then the projections' and the features' vjps, the features'
+    cotangent adding the three projections' terms in the order the tape
+    walk would. So every value and gradient is the one the chain
+    ``spectral_features``, three ``matmul`` and ``attention`` gives.
+    Untracked, the features die before attention runs.
     """
     x = astensor(x)
-    q, k, v = _spectral_qkv(x, h, w, params)
-    return attention(q, k, v, 1.0 / np.sqrt(x.shape[-1]))
-
-
-def _spectral_qkv(x: Tensor, h: int, w: int, params: GlobalPromptParams):
-    """Q, K and V projections of the spectral features of ``x``.
-
-    A function of its own so that the features, when no tape holds
-    them, are freed before attention runs.
-    """
     c = x.shape[-1]
-    feats = spectral_features(x, h, w)
-    fdim = feats.shape[-1]
-    for name, m in (("wq", params.wq), ("wk", params.wk), ("wv", params.wv)):
-        if m.shape != (fdim, c):
+    weights = (params.wq, params.wk, params.wv)
+    for name, m in zip(("wq", "wk", "wv"), weights):
+        if m.shape != (2 * c, c):
             raise DimensionError(
-                f"{name} has shape {tuple(m.shape)}, expected ({fdim}, {c})"
+                f"{name} has shape {tuple(m.shape)}, expected ({2 * c}, {c})"
             )
-    return matmul(feats, params.wq), matmul(feats, params.wk), matmul(feats, params.wv)
+    ws = [m.data for m in weights]
+    feats = spectral_features_raw(x.data, h, w)
+    q, k, v = (feats @ m for m in ws)
+    parents = (x,) + weights
+    if not any(p.requires_grad for p in parents):
+        feats = None  # no vjp will read it
+    scale = 1.0 / np.sqrt(c)
+    out, lse = _attention_forward(q, k, v, scale)
+
+    def vjp(g):
+        gq, gk, gv = _attention_grads(*(feats @ m for m in ws), out, lse, g, scale)
+        gx = spectral_features_grad(gq @ ws[0].T + gk @ ws[1].T + gv @ ws[2].T, h, w)
+        ft = feats.swapaxes(-1, -2)
+        return (gx,) + tuple(_unbroadcast(ft @ gm, m.shape) for gm, m in zip((gq, gk, gv), ws))
+
+    return Tensor._from_op(out, parents, vjp)
 
 
 def fuse_prompts(p_spatial: Tensor, p_global: Tensor) -> Tensor:

@@ -45,9 +45,11 @@ for s > t, hence dy[t]/dx[s] is exactly zero there. The only way later
 tokens influence earlier outputs is through the fused prompt added to
 the output gate, which is the point of the whole construction.
 
-On top of the primitive: derivation of the per-step gates from a packed
-projection, the semantic token ordering, and a gradient-based reach
-probe used to demonstrate the causal/non-causal dichotomy.
+On top of the primitive: Mamba's zero-order-hold decay as one node that
+keeps only the projection's C timescale channels, the split of a packed
+projection into the scan's gates, the semantic token ordering, the one
+entry point :func:`prompted_scan`, and a gradient-based reach probe used
+to demonstrate the causal/non-causal dichotomy.
 """
 
 from __future__ import annotations
@@ -58,7 +60,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericalConsistencyError
-from .tensor import Tensor, astensor, exp, neg, softplus
+from .tensor import (
+    Tensor,
+    _memory_order,
+    _sigmoid,
+    _softplus,
+    _unbroadcast,
+    _zeros_in_order,
+    astensor,
+)
 
 
 def _linear_scan(a, u):
@@ -164,31 +174,50 @@ def gated_recurrence(
 # -- gate derivation ---------------------------------------------------
 
 
-@dataclass
-class SsmParams:
-    """Per-token scan gates, each (B, N, C).
+def zoh_decay(x_in, c: int, a_log) -> Tensor:
+    """Mamba's zero-order-hold decay exp(softplus(x_in[..., :c]) * A), with
+    A = -exp(a_log) learned per channel, as one node (Gu & Dao 2023).
 
-    ``a_decay`` is the discrete state multiplier; the zoh
-    parameterization keeps it in (0, 1) so the recurrence is a stable
-    leaky accumulator.
+    The timescale softplus(.) is positive and A negative, so the decay is
+    a state multiplier in (0, 1] that underflows to an exact 0 for large
+    timescales. The node keeps a copy of the C-channel slice, not the
+    packed projection it came from, plus the decay itself, which the scan
+    keeps anyway; the vjp forms the timescale and its sigmoid again from
+    the slice. Untracked, the slice is read as a view. Every value and
+    gradient is the one the chain index, softplus, exp, neg, mul, exp
+    gives: the x_in gradient is laid out as the index node's, and the
+    a_log gradient is -sum(g * a * timescale) * exp(a_log), summed over
+    the leading axes.
     """
+    x_in, a_log = astensor(x_in), astensor(a_log)
+    raw = x_in.data[..., :c]
+    if x_in.requires_grad or a_log.requires_grad:
+        raw = raw.copy()  # a view would keep the whole projection alive
+    ea = np.exp(a_log.data)
+    na = -ea
+    a = _softplus(raw)
+    a *= na
+    np.exp(a, out=a)
+    shape, order = x_in.shape, _memory_order(x_in.data)
 
-    delta: Tensor
-    b_in: Tensor
-    c_raw: Tensor
-    a_decay: Tensor
+    def vjp(g):
+        g = g * a
+        gx = _zeros_in_order(shape, order)
+        gx[..., :c] = g * na * _sigmoid(raw)
+        return gx, -_unbroadcast(g * _softplus(raw), na.shape) * ea
+
+    return Tensor._from_op(a, (x_in, a_log), vjp)
 
 
 def derive_ssm_params(x_in: Tensor, channels: int, pool_size: int, a_log: Tensor):
-    """Split the packed projection into scan gates plus router logits.
+    """Split the packed projection into the scan's decay and gates plus
+    router logits.
 
-    Channel layout of ``x_in`` is [delta | b_in | c_raw | router], sizes
-    C, C, C, T. The timescale delta goes through a softplus so it is
-    always positive, and the zero-order hold of Mamba gives
-    a_decay = exp(delta * A) with A = -exp(a_log) learned per channel,
-    which keeps a_decay in (0, 1) for any delta > 0.
+    Channel layout of ``x_in`` is [timescale | b_in | c_raw | router],
+    sizes C, C, C, T. The first C channels become the decay through
+    :func:`zoh_decay`; the others are sliced out as they are.
 
-    Returns (SsmParams, router_logits).
+    Returns (a_decay, b_in, c_raw, router_logits).
     """
     x_in = astensor(x_in)
     want = 3 * channels + pool_size
@@ -198,12 +227,12 @@ def derive_ssm_params(x_in: Tensor, channels: int, pool_size: int, a_log: Tensor
             f"channels, expected 3C+T = {want}"
         )
     c = channels
-    delta = softplus(x_in[..., :c])
-    b_in = x_in[..., c : 2 * c]
-    c_raw = x_in[..., 2 * c : 3 * c]
-    logits = x_in[..., 3 * c :]
-    a_decay = exp(delta * neg(exp(a_log)))
-    return SsmParams(delta=delta, b_in=b_in, c_raw=c_raw, a_decay=a_decay), logits
+    return (
+        zoh_decay(x_in, c, a_log),
+        x_in[..., c : 2 * c],
+        x_in[..., 2 * c : 3 * c],
+        x_in[..., 3 * c :],
+    )
 
 
 def stable_a_log_init(target: float = 0.9) -> float:
@@ -246,33 +275,6 @@ def semantic_order(route) -> SemanticOrder:
 # -- the prompt-guided scan ---------------------------------------------
 
 
-def selective_scan(
-    x: Tensor,
-    p: SsmParams,
-    p_fused: Tensor,
-    order: SemanticOrder | None = None,
-    trace: dict | None = None,
-) -> Tensor:
-    """Run the recurrence along the semantic order with a prompted output gate.
-
-    The output gate is c_raw + p_fused per token; the rest is
-    :func:`prompted_scan`.
-    """
-    x, p_fused = astensor(x), astensor(p_fused)
-    for name, t in (
-        ("delta", p.delta),
-        ("b_in", p.b_in),
-        ("c_raw", p.c_raw),
-        ("a_decay", p.a_decay),
-        ("p_fused", p_fused),
-    ):
-        if t.shape != x.shape:
-            raise DimensionError(
-                f"scan operand {name} has shape {tuple(t.shape)}, input is {tuple(x.shape)}"
-            )
-    return prompted_scan(x, p.a_decay, p.b_in, p.c_raw + p_fused, order, trace)
-
-
 def prompted_scan(
     x: Tensor,
     a_decay: Tensor,
@@ -281,15 +283,15 @@ def prompted_scan(
     order: SemanticOrder | None = None,
     trace: dict | None = None,
 ) -> Tensor:
-    """The recurrence with output gate ``c_s`` (c_raw + p_fused), along ``order``.
+    """The recurrence with output gate ``c_s`` (c_raw + p_fused), along
+    ``order``: the scan's one entry point.
 
     The recurrence node visits the tokens in scan order and returns them
     in input order, so output token t corresponds to input token t. The
-    network passes the gate it fused, so that while the recurrence runs
-    nothing holds the timescale, c_raw or the prompts. A ``trace`` dict,
-    when given, receives the scan-order gate ("c_s"), the state
-    trajectory ("h"), the scan-order outputs ("y") and the restored
-    outputs ("y_tokens").
+    caller passes the gate it fused, so that while the recurrence runs
+    nothing holds c_raw or the prompts. A ``trace`` dict, when given,
+    receives the scan-order gate ("c_s"), the state trajectory ("h"), the
+    scan-order outputs ("y") and the restored outputs ("y_tokens").
     """
     y = gated_recurrence(x, a_decay, b_in, c_s, trace=trace, order=order)
     if trace is not None:

@@ -388,27 +388,33 @@ def sigmoid(a) -> Tensor:
     return Tensor._from_op(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
+def _softplus(x):
+    """log(1 + e^x) of a plain array, as max(x, 0) + log1p(e^-|x|)."""
+    out = np.maximum(x, 0.0)
+    out += np.log1p(_exp_neg_abs(x))
+    return out
+
+
 def softplus(a) -> Tensor:
     """log(1 + e^x), computed stably; its derivative, the sigmoid, is
     formed in the vjp, so the node keeps no array of its own."""
     a = astensor(a)
     ad = a.data
-    out = np.maximum(ad, 0.0)
-    out += np.log1p(_exp_neg_abs(ad))
-    return Tensor._from_op(out, (a,), lambda g: (g * _sigmoid(ad),))
+    return Tensor._from_op(_softplus(ad), (a,), lambda g: (g * _sigmoid(ad),))
 
 
 def silu(a) -> Tensor:
-    """x * sigmoid(x), one node. The vjp adds the two terms of the
-    product rule in the order the product's own nodes would."""
+    """x * sigmoid(x), one node that keeps only its input: the vjp forms
+    the sigmoid again and adds the two terms of the product rule in the
+    order the product's own nodes would."""
     a = astensor(a)
     ad = a.data
-    s = _sigmoid(ad)
 
     def vjp(g):
+        s = _sigmoid(ad)
         return (g * s + g * ad * s * (1.0 - s),)
 
-    return Tensor._from_op(ad * s, (a,), vjp)
+    return Tensor._from_op(ad * _sigmoid(ad), (a,), vjp)
 
 
 def atan2(y, x) -> Tensor:
@@ -500,6 +506,15 @@ def _memory_order(a):
     return tuple(np.argsort([-abs(s) for s in a.strides], kind="stable"))
 
 
+def _zeros_in_order(shape, order):
+    """Zeros of ``shape`` laid out in the axis ``order`` that
+    ``_memory_order`` gave, so a vjp lays out a gradient as
+    ``np.zeros_like`` of its input would without keeping that input."""
+    if order is None:
+        return np.zeros(shape)
+    return np.zeros([shape[i] for i in order]).transpose(np.argsort(order))
+
+
 def index(a, key) -> Tensor:
     """Basic indexing (ints/slices); gradient scatters back into place.
 
@@ -513,10 +528,7 @@ def index(a, key) -> Tensor:
     shape, order = a.shape, _memory_order(a.data)
 
     def vjp(g):
-        if order is None:
-            ga = np.zeros(shape)
-        else:
-            ga = np.zeros([shape[i] for i in order]).transpose(np.argsort(order))
+        ga = _zeros_in_order(shape, order)
         ga[key] = g
         return (ga,)
 

@@ -35,7 +35,7 @@ from promptscan.network import (
 )
 from promptscan.prompts import PromptPool, gumbel_noise, route_tokens
 from promptscan.resize import bicubic_resize, resample
-from promptscan.scan import SemanticOrder, SsmParams, causal_reach, selective_scan
+from promptscan.scan import SemanticOrder, causal_reach, prompted_scan
 from promptscan.tensor import Tensor
 from promptscan.training import (
     ImagePair,
@@ -93,16 +93,12 @@ def test_c02_scan_oracle():
         b = rng.standard_normal((bsz, n, ch))
         c = rng.standard_normal((bsz, n, ch))
         pf = rng.standard_normal((bsz, n, ch))
-        p = SsmParams(
-            delta=Tensor(np.abs(x) + 0.1), b_in=Tensor(b),
-            c_raw=Tensor(c), a_decay=Tensor(a),
-        )
         if i % 2:
             perm = np.stack([rng.permutation(n) for _ in range(bsz)])
             order = SemanticOrder(perm=perm, inv_perm=np.argsort(perm, axis=-1))
         else:
             order = None
-        y = selective_scan(Tensor(x), p, Tensor(pf), order)
+        y = prompted_scan(Tensor(x), Tensor(a), Tensor(b), Tensor(c) + Tensor(pf), order)
 
         # sequential python-float recurrence, one channel at a time
         want = np.zeros_like(x)

@@ -16,7 +16,7 @@ from promptscan.prompts import (
     gumbel_noise,
     route_tokens,
 )
-from promptscan.fft import fft2d
+from promptscan.fft import fft2d, spectral_features, spectral_features_raw
 from promptscan.tensor import Tensor, matmul, reshape, softmax, transpose
 
 
@@ -142,11 +142,11 @@ def test_global_prompt_reim_features_keep_the_concat_layout(monkeypatch):
     params = GlobalPromptParams(*(Tensor(rng.standard_normal((2 * c, c))) for _ in range(3)))
     seen = []
 
-    def spy(a, b):
-        seen.append(a.data)
-        return matmul(a, b)
+    def spy(*args):
+        seen.append(spectral_features_raw(*args))
+        return seen[-1]
 
-    monkeypatch.setattr(prompts, "matmul", spy)
+    monkeypatch.setattr(prompts, "spectral_features_raw", spy)
     global_prompt(x, h, w, params)
 
     spec = fft2d(transpose(reshape(x, (bsz, h, w, c)), (0, 3, 1, 2)))
@@ -155,7 +155,7 @@ def test_global_prompt_reim_features_keep_the_concat_layout(monkeypatch):
         return reshape(transpose(t, (0, 2, 3, 1)), (bsz, h * w, c))
 
     old = np.concatenate([flat(spec.re).data, flat(spec.im).data], axis=-1) * (1.0 / (h * w))
-    assert len(seen) == 3
+    assert len(seen) == 1
     for feats in seen:
         np.testing.assert_array_equal(feats, old)
 
@@ -500,16 +500,85 @@ def test_untracked_global_prompt_frees_the_spectrum_before_attention(monkeypatch
         *(Tensor(rng.standard_normal((2 * c, c)) * 0.1) for _ in range(3))
     )
     live = []
+    forward = prompts._attention_forward
 
     def spy(*args):
         live.append(tracemalloc.get_traced_memory()[0])
-        return attention(*args)
+        return forward(*args)
 
-    monkeypatch.setattr(prompts, "attention", spy)
+    monkeypatch.setattr(prompts, "_attention_forward", spy)
     _, peak = traced_peak(lambda: global_prompt(x, h, w, params))
     qkv = 3 * n * c * 8
     assert live[0] <= qkv + 2**18, f"live at attention {live[0] / 2**20:.2f} MiB"
     assert peak <= 9 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def _composite_global_prompt(x, h, w, params):
+    """The global prompt as the five nodes it took: the features, the
+    three projections and attention."""
+    feats = spectral_features(x, h, w)
+    q, k, v = (matmul(feats, m) for m in (params.wq, params.wk, params.wv))
+    return attention(q, k, v, 1.0 / np.sqrt(x.shape[-1]))
+
+
+@pytest.mark.parametrize(
+    "bsz, h, w, c",
+    [
+        pytest.param(2, 4, 4, 3, id="batch-2-4x4"),
+        pytest.param(3, 3, 5, 4, id="batch-3-3x5"),
+        pytest.param(2, 36, 40, 4, id="split-batch-2-36x40"),
+    ],
+)
+def test_global_prompt_is_one_node_matching_the_composite_chain(bsz, h, w, c):
+    """The output and the gradients of x, wq, wk and wv equal the
+    composite's bytes. At 36x40 with weights at checkpoint scale both
+    batch elements' forwards split near/far."""
+    rng = np.random.default_rng(h * w + c)
+    x0 = rng.standard_normal((bsz, h * w, c))
+    w0 = [rng.uniform(-1.0, 1.0, (2 * c, c)) / np.sqrt(2 * c) for _ in range(3)]
+    g = rng.standard_normal((bsz, h * w, c))
+    if h * w > 1024:
+        feats = spectral_features_raw(x0, h, w)
+        cuts = _split_cuts(feats @ w0[0], feats @ w0[1], 1.0 / np.sqrt(c))
+        assert all(cut is not None for cut in cuts)
+    results = []
+    for fn in (global_prompt, _composite_global_prompt):
+        x = Tensor(x0.copy(), requires_grad=True)
+        params = GlobalPromptParams(*(Tensor(m.copy(), requires_grad=True) for m in w0))
+        out = fn(x, h, w, params)
+        if fn is global_prompt:
+            assert out._parents == (x, params.wq, params.wk, params.wv)
+        (out * Tensor(g)).sum().backward()
+        results.append([out.data, x.grad, params.wq.grad, params.wk.grad, params.wv.grad])
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_global_prompt_node_keeps_the_features_output_and_log_sum_exp():
+    """Besides the three weights the closure holds the features, the
+    output and the per-row log-sum-exp, and no q, k or v: the vjp
+    rebuilds those from the features."""
+    rng = np.random.default_rng(13)
+    bsz, h, w, c = 2, 3, 5, 4
+    x = Tensor(rng.standard_normal((bsz, h * w, c)), requires_grad=True)
+    params = GlobalPromptParams(
+        *(Tensor(rng.standard_normal((2 * c, c)), requires_grad=True) for _ in range(3))
+    )
+    out = global_prompt(x, h, w, params)
+    held = []
+    for cell in out._vjp.__closure__:
+        v = cell.cell_contents
+        held += [a for a in (v if isinstance(v, (tuple, list)) else (v,)) if isinstance(a, np.ndarray)]
+    weights = [params.wq.data, params.wk.data, params.wv.data]
+    assert len(held) == 6
+    assert all(any(a is m for a in held) for m in weights + [out.data])
+    feats, lse = sorted(
+        (a for a in held if not any(a is m for m in weights + [out.data])),
+        key=lambda a: -a.shape[-1],
+    )
+    assert feats.tobytes() == spectral_features_raw(x.data, h, w).tobytes()
+    assert lse.shape == (bsz, h * w, 1)
 
 
 def test_attention_rejects_mismatched_operands():

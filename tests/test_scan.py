@@ -6,14 +6,14 @@ import pytest
 from promptscan.errors import ContractError, DimensionError, NumericalConsistencyError
 from promptscan.scan import (
     SemanticOrder,
-    SsmParams,
     derive_ssm_params,
     gated_recurrence,
-    selective_scan,
+    prompted_scan,
     semantic_order,
     stable_a_log_init,
+    zoh_decay,
 )
-from promptscan.tensor import Tensor
+from promptscan.tensor import Tensor, exp, neg, softplus
 
 
 def recurrence_oracle(x, a, b, c):
@@ -209,11 +209,7 @@ def test_identity_order_is_causal_exact_zeros():
     b, c = rng.standard_normal((2,) + shape)
     for t in range(6):
         x = Tensor(rng.standard_normal(shape), requires_grad=True)
-        p = SsmParams(
-            delta=Tensor(np.ones(shape)), b_in=Tensor(b), c_raw=Tensor(c),
-            a_decay=Tensor(a),
-        )
-        y = selective_scan(x, p, Tensor(np.zeros(shape)), order=None)
+        y = prompted_scan(x, Tensor(a), Tensor(b), Tensor(c) + Tensor(np.zeros(shape)), None)
         y[(0, t)].sum().backward()
         assert np.all(x.grad[0, t + 1 :] == 0.0)
         # and the diagonal itself is live
@@ -244,12 +240,7 @@ def test_ordered_scan_equals_oracle_on_permuted_sequence():
     perm = np.stack([rng.permutation(7) for _ in range(2)])
     order = SemanticOrder(perm=perm, inv_perm=np.argsort(perm, axis=-1))
 
-    out = selective_scan(
-        Tensor(x),
-        SsmParams(delta=Tensor(np.ones(shape)), b_in=Tensor(b), c_raw=Tensor(c), a_decay=Tensor(a)),
-        Tensor(pf),
-        order=order,
-    ).data
+    out = prompted_scan(Tensor(x), Tensor(a), Tensor(b), Tensor(c) + Tensor(pf), order).data
 
     ref = np.zeros(shape)
     for bi in range(2):
@@ -271,8 +262,7 @@ def test_hard_order_scan_is_one_node_matching_gather_oracle():
     inv = np.argsort(perm, axis=-1)
     rows = np.arange(3)[:, None]
     x, a, b, cr, pf = (Tensor(v, requires_grad=True) for v in (x0, a0, b0, c0, pf0))
-    p = SsmParams(delta=Tensor(np.ones(shape)), b_in=b, c_raw=cr, a_decay=a)
-    y = selective_scan(x, p, pf, order=SemanticOrder(perm=perm, inv_perm=inv))
+    y = prompted_scan(x, a, b, cr + pf, SemanticOrder(perm=perm, inv_perm=inv))
     assert len(y._parents) == 4
     assert all(p is q for p, q in zip(y._parents[:3], (x, a, b)))
     c_s = y._parents[3]
@@ -290,20 +280,18 @@ def test_hard_order_scan_is_one_node_matching_gather_oracle():
 
 def test_ordered_scan_rejects_wrong_perm_shape():
     good = Tensor(np.zeros((1, 4, 3)))
-    p = SsmParams(delta=good, b_in=good, c_raw=good, a_decay=good)
     perm = np.zeros((1, 3), dtype=int)
     with pytest.raises(DimensionError):
-        selective_scan(good, p, good, order=SemanticOrder(perm=perm, inv_perm=perm))
+        prompted_scan(good, good, good, good + good, SemanticOrder(perm=perm, inv_perm=perm))
 
 
-def test_selective_scan_checks_operand_shapes():
+def test_prompted_scan_checks_operand_shapes():
     shape = (1, 4, 2)
     good = Tensor(np.zeros(shape))
     bad = Tensor(np.zeros((1, 4, 3)))
-    p = SsmParams(delta=good, b_in=good, c_raw=bad, a_decay=good)
     with pytest.raises(DimensionError) as err:
-        selective_scan(good, p, good)
-    assert "c_raw" in str(err.value)
+        prompted_scan(good, good, good, bad)
+    assert "scan operand c has shape (1, 4, 3)" in str(err.value)
 
 
 def test_derive_split_layout_oracle():
@@ -311,15 +299,50 @@ def test_derive_split_layout_oracle():
     c, t = 3, 4
     raw = rng.standard_normal((2, 5, 3 * c + t))
     a_log = rng.standard_normal(c)
-    p, logits = derive_ssm_params(Tensor(raw), c, t, Tensor(a_log))
+    a_decay, b_in, c_raw, logits = derive_ssm_params(Tensor(raw), c, t, Tensor(a_log))
 
     delta_ref = np.log1p(np.exp(-np.abs(raw[..., :c]))) + np.maximum(raw[..., :c], 0)
-    np.testing.assert_allclose(p.delta.data, delta_ref, atol=1e-12)
-    np.testing.assert_array_equal(p.b_in.data, raw[..., c : 2 * c])
-    np.testing.assert_array_equal(p.c_raw.data, raw[..., 2 * c : 3 * c])
+    np.testing.assert_array_equal(b_in.data, raw[..., c : 2 * c])
+    np.testing.assert_array_equal(c_raw.data, raw[..., 2 * c : 3 * c])
     np.testing.assert_array_equal(logits.data, raw[..., 3 * c :])
-    np.testing.assert_allclose(p.a_decay.data, np.exp(delta_ref * -np.exp(a_log)), atol=1e-12)
-    assert np.all(p.a_decay.data > 0) and np.all(p.a_decay.data < 1)
+    np.testing.assert_allclose(a_decay.data, np.exp(delta_ref * -np.exp(a_log)), atol=1e-12)
+    assert np.all(a_decay.data > 0) and np.all(a_decay.data < 1)
+
+
+def _zoh_chain(x_in, c, a_log):
+    """The decay as the six nodes it took: index, softplus, exp, neg, mul, exp."""
+    return exp(softplus(x_in[..., :c]) * neg(exp(a_log)))
+
+
+@pytest.mark.parametrize("layout", [np.array, np.asfortranarray])
+def test_zoh_decay_is_one_node_matching_the_chain(layout):
+    """The decay and the gradients of x_in and a_log equal the chain's
+    bytes and layout, also where the decay is exactly 0 or 1 (timescale
+    inputs +-0, +-40, +-800); the node keeps a copy of the slice, never
+    a view of the packed projection."""
+    rng = np.random.default_rng(9)
+    c = 4
+    x0 = rng.standard_normal((2, 5, 3 * c)) * 3.0
+    x0[0, :2, :c] = np.array([0.0, -0.0, 40.0, -40.0, 800.0, -800.0, 1.0, -1.0]).reshape(2, c)
+    a_log0 = rng.standard_normal(c)
+    g = rng.standard_normal((2, 5, c))
+    results = []
+    for fn in (zoh_decay, _zoh_chain):
+        x_in = Tensor(layout(x0), requires_grad=True)
+        a_log = Tensor(a_log0.copy(), requires_grad=True)
+        out = fn(x_in, c, a_log)
+        if fn is zoh_decay:
+            assert out._parents == (x_in, a_log)
+            held = [cell.cell_contents for cell in out._vjp.__closure__]
+            held = [a for a in held if isinstance(a, np.ndarray)]
+            assert any(a is out.data for a in held)
+            assert not any(np.shares_memory(a, x_in.data) for a in held)
+        (out * Tensor(g)).sum().backward()
+        results.append((out.data, x_in.grad, a_log.grad))
+    assert {0.0, 1.0} <= set(results[0][0][0, :2].ravel())
+    for got, want in zip(*results):
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 def test_derive_rejects_wrong_width():

@@ -409,6 +409,11 @@ def test_silu_is_one_node_matching_the_product_with_sigmoid():
     arrays, w = _activation_inputs()
     _, parents = _assert_same_bytes(silu, lambda a: mul(a, sigmoid(a)), arrays, w)
     assert len(parents) == 1 and parents[0]._vjp is None
+    x = Tensor(arrays[0], requires_grad=True)
+    # the closure holds the input's array and no other array
+    cells = [c.cell_contents for c in silu(x)._vjp.__closure__]
+    held = [c for c in cells if isinstance(c, np.ndarray)]
+    assert len(held) == 1 and held[0] is x.data
 
 
 def test_softplus_forms_its_sigmoid_in_the_vjp():
