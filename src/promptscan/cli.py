@@ -98,6 +98,17 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """An argparse type: a whole number of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="promptscan",
@@ -116,12 +127,12 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--data", required=True, help="directory of ground-truth .pgm images")
     e.add_argument("--scale", type=int, choices=(2, 4),
                    help="expected upscale factor; checked against the checkpoint")
-    e.add_argument("--workers", type=int, default=1, help="parallel image workers")
+    e.add_argument("--workers", type=_count, default=1, help="parallel image workers")
     e.set_defaults(func=_cmd_eval)
 
     g = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     g.add_argument("--module", help="run only checks whose name contains this substring")
-    g.add_argument("--instances", type=int, default=20, help="random instances per check")
+    g.add_argument("--instances", type=_count, default=20, help="random instances per check")
     g.set_defaults(func=_cmd_gradcheck)
 
     r = sub.add_parser("erf", help="effective-receptive-field map for the center output pixel")

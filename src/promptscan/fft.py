@@ -12,7 +12,10 @@ imaginary part (the memory layout of a complex array), so the backward
 pass of a transform is a single transform however many consumers read
 its planes. :func:`spectral_features_raw` is the spectral attention's
 front end: the transform of a token grid over its grid axes, laid out
-per token; :func:`spectral_features` is the same map as one node.
+per token, in two steps (:func:`grid_half_spectrum`, then
+:func:`unfold_features`) so that a caller can keep the smaller rfft half
+and unfold it again; :func:`spectral_features` is the same map as one
+node.
 """
 
 from __future__ import annotations
@@ -139,23 +142,34 @@ def _unfold_half(dst: np.ndarray, half: np.ndarray, negate: bool = False) -> Non
     mirror(tail[:, :0:-1], out=dst[:, 1:, k:])
 
 
-def spectral_features_raw(x: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Per-token spectral features of a (B, h*w, C) token grid, scaled by 1/N.
-
-    The grid's 2-d DFT is taken per channel over the token axes, and
-    token (k1, k2) gets the C real parts, then the C imaginary parts, of
-    F[k1, k2] (B, N, 2C). The rfft half and its Hermitian mirror are
-    written straight into the token layout and scaled in place.
-    """
+def grid_half_spectrum(x: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The rfft half of a (B, h*w, C) token grid's 2-d DFT, taken per
+    channel over the grid axes: complex (B, h, w // 2 + 1, C), a little
+    over half the size of the unfolded features it determines."""
     bsz, n, c = x.shape
     if h * w != n:
         raise DimensionError(f"token count {n} does not factor as {h}x{w}")
-    half = np.fft.rfft2(x.reshape(bsz, h, w, c), axes=(1, 2))
+    return np.fft.rfft2(x.reshape(bsz, h, w, c), axes=(1, 2))
+
+
+def unfold_features(half: np.ndarray, w: int) -> np.ndarray:
+    """The per-token spectral features (B, N, 2C) of a grid of width
+    ``w`` from its :func:`grid_half_spectrum`: token (k1, k2) gets the C
+    real parts, then the C imaginary parts, of F[k1, k2], scaled by 1/N.
+    The half and its Hermitian mirror are written straight into the
+    token layout and scaled in place."""
+    bsz, h, _, c = half.shape
     feats = np.empty((bsz, h, w, 2, c))
     _unfold_half(feats[..., 0, :], half.real)
     _unfold_half(feats[..., 1, :], half.imag, negate=True)
-    feats *= 1.0 / n
-    return feats.reshape(bsz, n, 2 * c)
+    feats *= 1.0 / (h * w)
+    return feats.reshape(bsz, h * w, 2 * c)
+
+
+def spectral_features_raw(x: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Per-token spectral features of a (B, h*w, C) token grid, scaled by
+    1/N: :func:`unfold_features` of its :func:`grid_half_spectrum`."""
+    return unfold_features(grid_half_spectrum(x, h, w), w)
 
 
 def spectral_features_grad(g: np.ndarray, h: int, w: int) -> np.ndarray:

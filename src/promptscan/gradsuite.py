@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .fft import fft2d
 from .losses import (
     LossWeights,
@@ -73,7 +74,9 @@ from .tensor import (
     exp,
     finite_diff_grad,
     layer_norm,
+    layer_norm_linear,
     linear,
+    linear_silu_linear,
     log,
     pixel_shuffle,
     relu,
@@ -290,6 +293,34 @@ def _mk_layer_norm(rng, _i):
         return _wsum(layer_norm(x, g, b), w)
 
     return forward, [x, g, b]
+
+
+def _mk_linear_silu_linear(rng, _i):
+    x = _leaf(rng, (2, 3, 4))
+    w1 = _leaf(rng, (4, 5))
+    b1 = _leaf(rng, (5,))
+    w2 = _leaf(rng, (5, 6))
+    b2 = _leaf(rng, (6,))
+    w = _w(rng, (2, 3, 6))
+
+    def forward():
+        return _wsum(linear_silu_linear(x, w1, b1, w2, b2), w)
+
+    return forward, [x, w1, b1, w2, b2]
+
+
+def _mk_layer_norm_linear(rng, _i):
+    x = _leaf(rng, (2, 4, 6))
+    g = _leaf(rng, (6,), 0.5, 1.5)
+    b = _leaf(rng, (6,), -0.5, 0.5)
+    wo = _leaf(rng, (6, 5))
+    bo = _leaf(rng, (5,))
+    w = _w(rng, (2, 4, 5))
+
+    def forward():
+        return _wsum(layer_norm_linear(x, g, b, wo, bo), w)
+
+    return forward, [x, g, b, wo, bo]
 
 
 def _mk_conv2d(rng, i):
@@ -551,6 +582,8 @@ _CHECKS = (
     ("linear", _mk_linear, _PRIMITIVE),
     ("softmax", _mk_softmax, _PRIMITIVE),
     ("layer-norm", _mk_layer_norm, _PRIMITIVE),
+    ("linear-silu-linear", _mk_linear_silu_linear, _PRIMITIVE),
+    ("layer-norm-linear", _mk_layer_norm_linear, _PRIMITIVE),
     ("conv2d", _mk_conv2d, _PRIMITIVE),
     ("pixel-shuffle", _mk_shuffle, _PRIMITIVE),
     ("separable-map", _mk_separable_map, _PRIMITIVE),
@@ -575,7 +608,10 @@ def check_names() -> list:
 
 
 def run_suite(only: str | None = None, instances: int = 20) -> list:
-    """Run all checks (or those whose name contains ``only``)."""
+    """Run all checks (or those whose name contains ``only``), each on
+    ``instances`` random instances; fewer than one would check nothing."""
+    if instances < 1:
+        raise ConfigError(f"instances must be at least 1, got {instances}")
     results = []
     for name, make, opts in _CHECKS:
         if only is not None and only not in name:

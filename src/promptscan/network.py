@@ -44,11 +44,10 @@ from .tensor import (
     Tensor,
     astensor,
     conv2d,
-    layer_norm,
-    linear,
+    layer_norm_linear,
+    linear_silu_linear,
     pixel_shuffle,
     reshape,
-    silu,
     transpose,
 )
 
@@ -280,10 +279,13 @@ def asf_ssm_forward(
     gated projection packs per-token scan gates and routing logits, the
     router picks spatial prompts from the pool, both prompts fuse into
     the output gate, and the recurrence runs along the semantic token
-    order. A layer norm plus linear head closes the module. The global
-    prompt reads only ``x``, so it runs first, while nothing else is
-    alive; the projection and the routing live in ``_scan_operands``, so
-    that without a tape every intermediate dies after its last reader and
+    order. A layer norm plus linear head closes the module. The gated
+    projection and the head are one tape node each
+    (``linear_silu_linear``, ``layer_norm_linear``), keeping besides
+    their weights only x, and xhat and 1/sigma. The global prompt reads
+    only ``x``, so it runs first, while nothing else is alive; the
+    projection and the routing live in ``_scan_operands``, so that
+    without a tape every intermediate dies after its last reader and
     only the scan's own operands are alive during the scan. ``trace``
     collects copies of the published intermediates for fixture
     comparison.
@@ -298,7 +300,7 @@ def asf_ssm_forward(
         raise DimensionError(f"token count {x.shape[1]} does not factor as {h}x{w}")
 
     y = prompted_scan(x, *_scan_operands(x, mp, cfg, h, w, mode, trace), trace=trace)
-    out = linear(layer_norm(y, mp.ln_g, mp.ln_b), mp.w_out, mp.b_out)
+    out = layer_norm_linear(y, mp.ln_g, mp.ln_b, mp.w_out, mp.b_out)
     if trace is not None:
         trace["out"] = out.data.copy()
     return out
@@ -328,9 +330,9 @@ def _scan_operands(x, mp, cfg, h, w, mode, trace):
 
 def _scan_gates(x, mp, cfg, trace):
     """The decay, the two gates and the router's logits from the gated
-    projection of ``x``. The trunk dies once projected, and the packed
-    projection on return."""
-    x_in = linear(silu(linear(x, mp.w_mlp, mp.b_mlp)), mp.w_in, mp.b_in)
+    projection of ``x``, one node whose hidden layer dies inside it. The
+    packed projection dies on return."""
+    x_in = linear_silu_linear(x, mp.w_mlp, mp.b_mlp, mp.w_in, mp.b_in)
     if trace is not None:
         trace["x_in"] = x_in.data.copy()
     return derive_ssm_params(x_in, cfg.channels, cfg.pool_size, mp.a_log)
@@ -364,7 +366,9 @@ def model_forward(
 
     The bicubic skip carries the input; the deep path adds a learned
     residual. With all reconstruction weights at zero the output equals
-    the bicubic upsample exactly.
+    the bicubic upsample exactly. The shallow features die once the long
+    residual has added them, and each upsampling stage's input once its
+    conv has run, so without a tape neither is alive in the stages after.
     """
     lr = astensor(lr)
     if lr.ndim != 4 or lr.shape[1] != 1:
@@ -380,8 +384,10 @@ def model_forward(
     for bp in params.blocks:
         feat = asf_ssb_forward(feat, bp, cfg, mode=mode)
     feat = feat + s0
+    del s0
     for k, b in zip(params.up_k, params.up_b):
-        feat = pixel_shuffle(_conv(feat, k, b), 2)
+        feat = _conv(feat, k, b)
+        feat = pixel_shuffle(feat, 2)
     deep = _conv(feat, params.final_k, params.final_b)
     skip = resample(lr, h * cfg.scale, w * cfg.scale, kind="cubic", antialias=False)
     return skip + deep * 255.0

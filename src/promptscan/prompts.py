@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-from .fft import spectral_features_grad, spectral_features_raw
+from .fft import grid_half_spectrum, spectral_features_grad, unfold_features
 from .tensor import Tensor, _unbroadcast, astensor, matmul, softmax
 
 # keys per attention tile, and score elements per (query block x key
@@ -489,16 +489,20 @@ def global_prompt(x: Tensor, h: int, w: int, params: GlobalPromptParams) -> Tens
     tiny: ``attention`` runs those pairs through its far-field series
     (exact to float64 rounding) and only the rest through score tiles.
 
-    One node with parents x, wq, wk and wv. The forward builds the
-    features and the projections q, k and v as plain arrays and runs
-    attention's forward; the node keeps the features, the output and
-    each row's log-sum-exp (and the weights), not q, k or v. Its vjp
-    rebuilds them with the same three GEMMs, runs attention's tiled vjp,
-    then the projections' and the features' vjps, the features'
-    cotangent adding the three projections' terms in the order the tape
-    walk would. So every value and gradient is the one the chain
-    ``spectral_features``, three ``matmul`` and ``attention`` gives.
-    Untracked, the features die before attention runs.
+    One node with parents x, wq, wk and wv. The forward takes the rfft
+    half of the grid's spectrum (``fft.grid_half_spectrum``), unfolds it
+    into the features (``fft.unfold_features``), builds the projections
+    q, k and v as plain arrays and runs attention's forward; the node
+    keeps the half spectrum, the output and each row's log-sum-exp (and
+    the weights), not the features (the half is 9/16 of their size at
+    w = 16) and not q, k or v. Its vjp unfolds the features again,
+    rebuilds q, k and v with the same three GEMMs, runs attention's
+    tiled vjp, then the projections' and the features' vjps, the
+    features' cotangent adding the three projections' terms in the order
+    the tape walk would. So every value and gradient is the one the
+    chain ``spectral_features``, three ``matmul`` and ``attention``
+    gives. Untracked, the half spectrum dies before the q, k and v GEMMs
+    and the features before attention runs.
     """
     x = astensor(x)
     c = x.shape[-1]
@@ -509,15 +513,18 @@ def global_prompt(x: Tensor, h: int, w: int, params: GlobalPromptParams) -> Tens
                 f"{name} has shape {tuple(m.shape)}, expected ({2 * c}, {c})"
             )
     ws = [m.data for m in weights]
-    feats = spectral_features_raw(x.data, h, w)
-    q, k, v = (feats @ m for m in ws)
+    half = grid_half_spectrum(x.data, h, w)
+    feats = unfold_features(half, w)
     parents = (x,) + weights
     if not any(p.requires_grad for p in parents):
-        feats = None  # no vjp will read it
+        half = None  # no vjp will read it
+    q, k, v = (feats @ m for m in ws)
+    del feats
     scale = 1.0 / np.sqrt(c)
     out, lse = _attention_forward(q, k, v, scale)
 
     def vjp(g):
+        feats = unfold_features(half, w)
         gq, gk, gv = _attention_grads(*(feats @ m for m in ws), out, lse, g, scale)
         gx = spectral_features_grad(gq @ ws[0].T + gk @ ws[1].T + gv @ ws[2].T, h, w)
         ft = feats.swapaxes(-1, -2)

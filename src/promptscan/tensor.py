@@ -403,18 +403,21 @@ def softplus(a) -> Tensor:
     return Tensor._from_op(_softplus(ad), (a,), lambda g: (g * _sigmoid(ad),))
 
 
+def _silu_grad(g, x, s):
+    """The cotangent of x for the cotangent ``g`` of x * s, s = sigmoid(x):
+    the two terms of the product rule, added in the order the product's
+    own nodes would."""
+    return g * s + g * x * s * (1.0 - s)
+
+
 def silu(a) -> Tensor:
     """x * sigmoid(x), one node that keeps only its input: the vjp forms
-    the sigmoid again and adds the two terms of the product rule in the
-    order the product's own nodes would."""
+    the sigmoid again."""
     a = astensor(a)
     ad = a.data
-
-    def vjp(g):
-        s = _sigmoid(ad)
-        return (g * s + g * ad * s * (1.0 - s),)
-
-    return Tensor._from_op(ad * _sigmoid(ad), (a,), vjp)
+    return Tensor._from_op(
+        ad * _sigmoid(ad), (a,), lambda g: (_silu_grad(g, ad, _sigmoid(ad)),)
+    )
 
 
 def atan2(y, x) -> Tensor:
@@ -558,31 +561,73 @@ def matmul(a, b) -> Tensor:
     return Tensor._from_op(ad @ bd, (a, b), vjp)
 
 
+def _check_linear(sa, sw, sb):
+    """Raise unless shapes ``sa``, ``sw`` and ``sb`` fit a @ w + b."""
+    if len(sa) < 2 or len(sw) != 2 or sb != (sw[1],):
+        raise DimensionError(
+            f"linear needs a @ (C, D) + (D,), got {tuple(sa)}, {tuple(sw)} and {tuple(sb)}"
+        )
+    if sa[-1] != sw[0]:
+        raise DimensionError(f"linear inner dimensions differ: {tuple(sa)} vs {tuple(sw)}")
+
+
+def _affine(a, w, b):
+    """a @ w + b of plain arrays, the bias added in place on the product."""
+    out = a @ w
+    out += b
+    return out
+
+
+def _linear_grads(g, a, w, b_shape):
+    """The cotangents of a, w and b for the cotangent ``g`` of a @ w + b."""
+    gw = np.swapaxes(a, -1, -2) @ g
+    return g @ w.T, _unbroadcast(gw, w.shape), _unbroadcast(g, b_shape)
+
+
 def linear(a, w, b) -> Tensor:
     """``a @ w + b``, one node: the bias is added in place on the product.
 
     Every value and gradient is the one ``matmul(a, w) + b`` gives.
     """
     a, w, b = astensor(a), astensor(w), astensor(b)
-    if a.ndim < 2 or w.ndim != 2 or b.shape != (w.shape[1],):
-        raise DimensionError(
-            f"linear needs a @ (C, D) + (D,), got {tuple(a.shape)}, "
-            f"{tuple(w.shape)} and {tuple(b.shape)}"
-        )
-    if a.shape[-1] != w.shape[0]:
-        raise DimensionError(
-            f"linear inner dimensions differ: {tuple(a.shape)} vs {tuple(w.shape)}"
-        )
+    _check_linear(a.shape, w.shape, b.shape)
     ad, wd, sb = a.data, w.data, b.shape
-    out = ad @ wd
-    out += b.data
+    return Tensor._from_op(
+        _affine(ad, wd, b.data), (a, w, b), lambda g: _linear_grads(g, ad, wd, sb)
+    )
+
+
+def linear_silu_linear(x, w1, b1, w2, b2) -> Tensor:
+    """``linear(silu(linear(x, w1, b1)), w2, b2)`` as one node.
+
+    The node keeps x and the weights, not the hidden u = x @ w1 + b1 or
+    silu(u): its vjp rebuilds both with the forward's own formulas, then
+    runs the three nodes' vjps in the order the tape walk would, so every
+    value and gradient is the chain's. The hidden activations die before
+    the second GEMM, tracked or not.
+    """
+    x, w1, b1, w2, b2 = (astensor(t) for t in (x, w1, b1, w2, b2))
+    _check_linear(x.shape, w1.shape, b1.shape)
+    _check_linear(x.shape[:-1] + w1.shape[1:], w2.shape, b2.shape)
+    xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
+    sb1, sb2 = b1.shape, b2.shape
+
+    def hidden():
+        """u = x @ w1 + b1, sigmoid(u) and silu(u) = u * sigmoid(u)."""
+        u = _affine(xd, w1d, b1d)
+        s = _sigmoid(u)
+        return u, s, u * s
+
+    out = _affine(hidden()[2], w2d, b2.data)  # u and sigmoid(u) die first
 
     def vjp(g):
-        ga = g @ wd.T
-        gw = np.swapaxes(ad, -1, -2) @ g
-        return (ga, _unbroadcast(gw, wd.shape), _unbroadcast(g, sb))
+        u, s, h = hidden()
+        gh, gw2, gb2 = _linear_grads(g, h, w2d, sb2)
+        del h
+        gx, gw1, gb1 = _linear_grads(_silu_grad(gh, u, s), xd, w1d, sb1)
+        return gx, gw1, gb1, gw2, gb2
 
-    return Tensor._from_op(out, (a, w, b), vjp)
+    return Tensor._from_op(out, (x, w1, b1, w2, b2), vjp)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -599,38 +644,91 @@ def softmax(a, axis: int = -1) -> Tensor:
     return Tensor._from_op(out, (a,), vjp)
 
 
+def _check_layer_norm(sx, sgamma, sbeta):
+    """Raise unless affine shapes ``sgamma`` and ``sbeta`` fit the
+    trailing axis of ``sx``."""
+    c = sx[-1]
+    if sgamma != (c,) or sbeta != (c,):
+        raise DimensionError(
+            f"layer_norm affine shapes {tuple(sgamma)}/{tuple(sbeta)} "
+            f"do not match channel count {c}"
+        )
+
+
+def _normalize(x):
+    """(xhat, inv) of each token over the trailing axis, eps 1e-5, with
+    xhat = (x - mean) * inv. In place: besides one square, this allocates
+    only the two results."""
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv = ((xhat * xhat).mean(axis=-1, keepdims=True) + 1e-5) ** -0.5
+    xhat *= inv
+    return xhat, inv
+
+
+def _scale_shift(xhat, gamma, beta):
+    """xhat * gamma + beta, the shift added in place."""
+    out = xhat * gamma
+    out += beta
+    return out
+
+
+def _layer_norm_grads(g, xhat, inv, gamma):
+    """The cotangents of x, gamma and beta for the cotangent ``g`` of the
+    layer norm xhat * gamma + beta, summed over the leading axes."""
+    lead = tuple(range(g.ndim - 1))
+    d = g * gamma
+    dx = inv * (
+        d
+        - d.mean(axis=-1, keepdims=True)
+        - xhat * (d * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
 def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize each token over the trailing channel axis (eps 1e-5), then affine.
 
-    One node. With xhat = (x - mean) * inv and d = g * gamma, the
-    adjoint is dx = inv * (d - mean(d) - xhat * mean(d * xhat)),
-    dgamma = sum(g * xhat) and dbeta = sum(g) over the leading axes.
+    One node that keeps xhat and inv. With xhat = (x - mean) * inv and
+    d = g * gamma, the adjoint is dx = inv * (d - mean(d) - xhat *
+    mean(d * xhat)), dgamma = sum(g * xhat) and dbeta = sum(g) over the
+    leading axes.
     """
     x, gamma, beta = astensor(x), astensor(gamma), astensor(beta)
-    c = x.shape[-1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise DimensionError(
-            f"layer_norm affine shapes {tuple(gamma.shape)}/{tuple(beta.shape)} "
-            f"do not match channel count {c}"
-        )
-    # in place: besides one square, forward allocates only what vjp keeps
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = ((xhat * xhat).mean(axis=-1, keepdims=True) + 1e-5) ** -0.5
-    xhat *= inv
-    gd, lead = gamma.data, tuple(range(x.ndim - 1))
-    out = xhat * gd
-    out += beta.data
+    _check_layer_norm(x.shape, gamma.shape, beta.shape)
+    xhat, inv = _normalize(x.data)
+    gd = gamma.data
+    return Tensor._from_op(
+        _scale_shift(xhat, gd, beta.data),
+        (x, gamma, beta),
+        lambda g: _layer_norm_grads(g, xhat, inv, gd),
+    )
+
+
+def layer_norm_linear(x, gamma, beta, w, b) -> Tensor:
+    """``linear(layer_norm(x, gamma, beta), w, b)`` as one node.
+
+    The node keeps xhat, inv and the weights, not the norm's output
+    xhat * gamma + beta: its vjp rebuilds that with the forward's own
+    formula for the linear map's weight gradient, then runs the norm's
+    vjp, so every value and gradient is the chain's. Untracked, xhat
+    dies before the GEMM.
+    """
+    x, gamma, beta, w, b = (astensor(t) for t in (x, gamma, beta, w, b))
+    _check_layer_norm(x.shape, gamma.shape, beta.shape)
+    _check_linear(x.shape, w.shape, b.shape)
+    parents = (x, gamma, beta, w, b)
+    xhat, inv = _normalize(x.data)
+    gd, bd, wd, sb = gamma.data, beta.data, w.data, b.shape
+    normed = _scale_shift(xhat, gd, bd)
+    if not any(p.requires_grad for p in parents):
+        xhat = None  # no vjp will read it
+    out = _affine(normed, wd, b.data)
 
     def vjp(g):
-        d = g * gd
-        dx = inv * (
-            d
-            - d.mean(axis=-1, keepdims=True)
-            - xhat * (d * xhat).mean(axis=-1, keepdims=True)
-        )
-        return (dx, (g * xhat).sum(axis=lead), g.sum(axis=lead))
+        ga, gw, gb = _linear_grads(g, _scale_shift(xhat, gd, bd), wd, sb)
+        return _layer_norm_grads(ga, xhat, inv, gd) + (gw, gb)
 
-    return Tensor._from_op(out, (x, gamma, beta), vjp)
+    return Tensor._from_op(out, parents, vjp)
 
 
 # -- convolution and sub-pixel ops ------------------------------------------
@@ -641,12 +739,13 @@ def layer_norm(x, gamma, beta) -> Tensor:
 _TAP_BLOCK_ELEMS = 1 << 16
 
 
-def _tap_sum(frame, kern, pitch: int, rows: int):
+def _tap_sum(frame, kern, pitch: int, rows: int, out):
     """Sum over taps (u, v) of frame[n + u*pitch + v] @ kern[u, v], n < rows*kw.
 
     ``frame`` is a channels-last (pixels, C) image, row-major with row
     pitch ``pitch``; ``kern`` is (kh, kw*C, O) with the C weights of tap
-    (u, v) at rows v*C .. v*C+C-1 of ``kern[u]``. Returns (rows*kw, O).
+    (u, v) at rows v*C .. v*C+C-1 of ``kern[u]``. Writes the sums into
+    ``out``, a C-contiguous (rows*kw, O) array, and returns it.
 
     No window is copied. For output pixels n = kw*m + r, the kw taps of
     kernel row u read kw*C consecutive values from pixel n + u*pitch
@@ -659,13 +758,13 @@ def _tap_sum(frame, kern, pitch: int, rows: int):
     c = frame.shape[1]
     kw = kwc // c
     flat = frame.reshape(-1)
-    out = np.empty((rows, kw, o))
+    sums = out.reshape(rows, kw, o)
     blocks = -(-rows * kw * o // _TAP_BLOCK_ELEMS)
     step = -(-rows // blocks)
     part = np.empty((step, kw, o))
     for m0 in range(0, rows, step):
         m = min(step, rows - m0)
-        acc, tmp = out[m0 : m0 + m], part[:m]
+        acc, tmp = sums[m0 : m0 + m], part[:m]
         for u in range(kh):
             dst = acc if u == 0 else tmp
             for r in range(kw):
@@ -674,7 +773,7 @@ def _tap_sum(frame, kern, pitch: int, rows: int):
                 np.matmul(win, kern[u], out=dst[:, r])
             if u:
                 acc += tmp
-    return out.reshape(rows * kw, o)
+    return out
 
 
 def conv2d(x, k, pad: int, bias=None) -> Tensor:
@@ -700,10 +799,13 @@ def conv2d(x, k, pad: int, bias=None) -> Tensor:
     flipped, transposed kernel. Gradients are formed only for tracked
     operands.
 
-    The output is a compact channels-last copy of the crop, with the
-    bias added as it is copied, so the padded tap sums die with the
-    forward. The bias gradient sums the cotangent over batch and pixels
-    in the cotangent's own memory order, as a broadcast add's would.
+    The crop is moved, in runs of whole rows, to the front of the tap
+    sums' own buffer (:func:`_crop_to_front`), the buffer is shrunk in
+    place to the crop, and the bias is added there in place, so the
+    forward allocates no second output-sized array and the output is a
+    compact channels-last array, as a copy of the crop would be. The
+    bias gradient sums the cotangent over batch and pixels in the
+    cotangent's own memory order, as a broadcast add's would.
     """
     x, k = astensor(x), astensor(k)
     bias = None if bias is None else astensor(bias)
@@ -733,17 +835,19 @@ def conv2d(x, k, pad: int, bias=None) -> Tensor:
     n = b * bh * pitch
     rows = -(-n // kw)
     reach = (kh - 1) * pitch + kw - 1
+    # the output's buffer is allocated before the frame, which dies with
+    # an untracked forward, so that the frame leaves no hole beneath it
+    sums = np.empty((rows * kw, cout))
     frame = np.zeros((reach + rows * kw, cin))
     frame[:n].reshape(b, bh, pitch, cin)[:, pad:, pad:] = x.data.transpose(0, 2, 3, 1)
     kd, biased = k.data, bias is not None
     want_x, want_k = x.requires_grad, k.requires_grad
     kern = kd.transpose(2, 3, 1, 0).reshape(kh, kw * cin, cout)
-    full = _tap_sum(frame, kern, pitch, rows)[:n].reshape(b, bh, pitch, cout)
-    out = np.empty((b, ho, wo, cout))
-    if bias is None:
-        out[...] = full[:, :ho, :wo]
-    else:
-        np.add(full[:, :ho, :wo], bias.data, out=out)
+    _crop_to_front(_tap_sum(frame, kern, pitch, rows, sums), b, bh, pitch, ho, wo)
+    sums.resize((b * ho * wo, cout))  # a realloc: the tail goes back, nothing is copied
+    out = sums.reshape(b, ho, wo, cout)
+    if bias is not None:
+        out += bias.data
 
     def vjp(g):
         gframe = np.zeros((reach + rows * kw, cout))
@@ -759,7 +863,10 @@ def conv2d(x, k, pad: int, bias=None) -> Tensor:
             gk = taps.transpose(3, 2, 0, 1)
         if want_x:
             flipped = kd[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
-            gfull = _tap_sum(gframe, flipped.reshape(kh, kw * cout, cin), pitch, rows)
+            gfull = _tap_sum(
+                gframe, flipped.reshape(kh, kw * cout, cin), pitch, rows,
+                np.empty((rows * kw, cin)),
+            )
             gx = gfull[:n].reshape(b, bh, pitch, cin)[:, pad:, pad:]
             gx = gx.transpose(0, 3, 1, 2)
         if not biased:
@@ -768,6 +875,27 @@ def conv2d(x, k, pad: int, bias=None) -> Tensor:
 
     parents = (x, k) if bias is None else (x, k, bias)
     return Tensor._from_op(out.transpose(0, 3, 1, 2), parents, vjp)
+
+
+def _crop_to_front(sums, b, bh, pitch, ho, wo):
+    """Move the (b, ho, wo, C) crop of each image's (bh, pitch) block of
+    the pixel rows ``sums`` to the front of ``sums``, compact and
+    channels-last.
+
+    Row r of image i goes from pixel (i*bh + r)*pitch to (i*ho + r)*wo,
+    never past its source, so rows moved in order overwrite only rows
+    already moved. They move in runs of at most ``_TAP_BLOCK_ELEMS``
+    values; numpy copies a run that overlaps its own source through a
+    temporary of that size.
+    """
+    blocks = sums[: b * bh * pitch].reshape(b, bh, pitch, -1)
+    out = sums[: b * ho * wo].reshape(b, ho, wo, -1)
+    if (bh, pitch) != (ho, wo):  # else the crop is already in place
+        run = max(1, _TAP_BLOCK_ELEMS // out[0, 0].size)
+        for i in range(b):
+            for r in range(0, ho, run):
+                rs = slice(r, min(r + run, ho))
+                out[i, rs] = blocks[i, rs, :wo]
 
 
 def _shuffle_fwd(d, r):

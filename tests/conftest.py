@@ -1,4 +1,5 @@
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -38,26 +39,38 @@ def tape_objects():
     return _tape_objects
 
 
+def _saved_arrays(fn, seen_fns):
+    """The arrays held in ``fn``'s closure cells, directly or in a tuple
+    or list, and those of every function held there the same way, so a
+    vjp cannot hide an array behind a nested helper. ``seen_fns`` holds
+    the ids of the functions already walked."""
+    seen_fns.add(id(fn))
+    for cell in getattr(fn, "__closure__", None) or ():
+        value = cell.cell_contents
+        for a in value if isinstance(value, (tuple, list)) else (value,):
+            if isinstance(a, np.ndarray):
+                yield a
+            elif isinstance(a, types.FunctionType) and id(a) not in seen_fns:
+                yield from _saved_arrays(a, seen_fns)
+
+
 def _tape_bytes(root):
     """Bytes of the distinct arrays that the vjps on ``root``'s tape
-    saved, by vjp qualname. A closure cell counts when it is an array or
-    a tuple or list of arrays; a view counts as the array it views, and
-    each array is charged once, to the first record that holds it."""
+    saved, by vjp qualname. A closure cell counts when it is an array, a
+    function whose cells count, or a tuple or list of those; a view
+    counts as the array it views, and each array is charged once, to the
+    first record that holds it."""
     seen, kinds = set(), {}
     for node in _tape_objects(root):
         if node._vjp is None:
             continue
         kind = node._vjp.__qualname__
-        for cell in node._vjp.__closure__ or ():
-            value = cell.cell_contents
-            for a in value if isinstance(value, (tuple, list)) else (value,):
-                if not isinstance(a, np.ndarray):
-                    continue
-                while isinstance(a.base, np.ndarray):
-                    a = a.base
-                if id(a) not in seen:
-                    seen.add(id(a))
-                    kinds[kind] = kinds.get(kind, 0) + a.nbytes
+        for a in _saved_arrays(node._vjp, set()):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            if id(a) not in seen:
+                seen.add(id(a))
+                kinds[kind] = kinds.get(kind, 0) + a.nbytes
     return kinds
 
 

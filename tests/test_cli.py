@@ -13,6 +13,8 @@ import pytest
 
 from promptscan.cli import main
 from promptscan.config import RunConfig, format_config, load_config
+from promptscan.errors import ConfigError
+from promptscan.gradsuite import run_suite
 from promptscan.pgm import read_pgm, write_pgm
 
 
@@ -120,6 +122,31 @@ def test_gradcheck_filtered():
     rc, stdout, _ = _run(["gradcheck", "--module", "softmax", "--instances", "2"])
     assert rc == 0
     assert "softmax" in stdout and "ok" in stdout
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_gradcheck_with_no_instances_is_usage_error(count):
+    """A check over zero instances would report ok having checked nothing."""
+    rc, stdout, err = _run(["gradcheck", "--module", "softmax", "--instances", count])
+    assert rc == 2
+    assert stdout == ""
+    assert "--instances" in err and "at least 1" in err
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_run_suite_rejects_fewer_than_one_instance(count):
+    with pytest.raises(ConfigError, match="at least 1"):
+        run_suite(only="softmax", instances=count)
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_eval_with_no_workers_is_usage_error(tmp_path, dataset, count):
+    """Rejected while parsing, before the (missing) checkpoint is read."""
+    rc, stdout, err = _run(["eval", "--ckpt", str(tmp_path / "missing.bin"),
+                            "--data", str(dataset), "--workers", count])
+    assert rc == 2
+    assert stdout == ""
+    assert "--workers" in err and "at least 1" in err
 
 
 def test_gradcheck_unknown_module():

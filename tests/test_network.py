@@ -18,7 +18,7 @@ from promptscan.network import (
 )
 from promptscan.resize import resample
 from promptscan.scan import derive_ssm_params
-from promptscan.tensor import Tensor, conv2d, linear, pixel_shuffle, silu
+from promptscan.tensor import Tensor, conv2d, linear_silu_linear, pixel_shuffle
 
 TINY = dict(channels=4, blocks=1, modules_per_block=1, pool_size=2, scale=2)
 
@@ -139,8 +139,8 @@ def test_hard_route_module_records_one_node_per_norm_and_scan(tape_objects):
     # 49 when layer_norm recorded 9 nodes and the scan order 5 gathers; 36
     # while the spectral features took 6 nodes, each biased projection 2
     # and silu 2; 27 while the global prompt took 5 nodes and the zoh
-    # decay 6
-    assert nodes == 27 - 4 - 5
+    # decay 6; 18 while the gated projection took 3 and the head 2
+    assert nodes == 18 - 2 - 1
 
 
 def _up_conv_read_by_pixel_shuffle(params, cfg, rng):
@@ -152,7 +152,7 @@ def _up_conv_read_by_pixel_shuffle(params, cfg, rng):
 def _x_in_read_by_the_gate_slices(params, cfg, rng):
     mp = params.blocks[0].modules[0]
     x = Tensor(rng.standard_normal((2, 64, cfg.channels)), requires_grad=True)
-    mid = linear(silu(linear(x, mp.w_mlp, mp.b_mlp)), mp.w_in, mp.b_in)
+    mid = linear_silu_linear(x, mp.w_mlp, mp.b_mlp, mp.w_in, mp.b_in)
 
     def consume():
         return list(derive_ssm_params(mid, cfg.channels, cfg.pool_size, a_log=mp.a_log))

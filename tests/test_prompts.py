@@ -16,7 +16,13 @@ from promptscan.prompts import (
     gumbel_noise,
     route_tokens,
 )
-from promptscan.fft import fft2d, spectral_features, spectral_features_raw
+from promptscan.fft import (
+    fft2d,
+    grid_half_spectrum,
+    spectral_features,
+    spectral_features_raw,
+    unfold_features,
+)
 from promptscan.tensor import Tensor, matmul, reshape, softmax, transpose
 
 
@@ -134,20 +140,28 @@ def test_global_prompt_matches_hand_oracle():
 
 
 def test_global_prompt_reim_features_keep_the_concat_layout(monkeypatch):
-    """[re | im] from the stacked planes equals concat of the two flattened
-    planes bit for bit."""
+    """The forward takes the grid's rfft once, and [re | im] unfolded
+    from it equals concat of the two flattened planes bit for bit."""
     rng = np.random.default_rng(6)
     bsz, h, w, c = 2, 3, 5, 4
     x = Tensor(rng.standard_normal((bsz, h * w, c)))
     params = GlobalPromptParams(*(Tensor(rng.standard_normal((2 * c, c))) for _ in range(3)))
-    seen = []
+    halves, seen = [], []
 
-    def spy(*args):
-        seen.append(spectral_features_raw(*args))
+    def spy_half(*args):
+        halves.append(grid_half_spectrum(*args))
+        return halves[-1]
+
+    def spy_unfold(*args):
+        seen.append(unfold_features(*args))
         return seen[-1]
 
-    monkeypatch.setattr(prompts, "spectral_features_raw", spy)
+    monkeypatch.setattr(prompts, "grid_half_spectrum", spy_half)
+    monkeypatch.setattr(prompts, "unfold_features", spy_unfold)
     global_prompt(x, h, w, params)
+    assert len(halves) == 1
+    rfft = np.fft.rfft2(x.data.reshape(bsz, h, w, c), axes=(1, 2))
+    assert halves[0].tobytes() == rfft.tobytes()
 
     spec = fft2d(transpose(reshape(x, (bsz, h, w, c)), (0, 3, 1, 2)))
 
@@ -491,7 +505,9 @@ def test_attention_node_keeps_only_its_output_and_log_sum_exp():
 
 def test_untracked_global_prompt_frees_the_spectrum_before_attention(monkeypatch, traced_peak):
     """(1, 4096, 32): only q, k and v (3 MiB) are live when attention
-    starts; the spectrum planes and features (4 MiB) are already freed."""
+    starts; the half spectrum (1 MiB) and the features (2 MiB) are
+    already freed, and the half died before the q, k and v GEMMs, so
+    until attention the peak is the features and q, k and v."""
     rng = np.random.default_rng(11)
     c, h, w = 32, 64, 64
     n = h * w
@@ -503,13 +519,17 @@ def test_untracked_global_prompt_frees_the_spectrum_before_attention(monkeypatch
     forward = prompts._attention_forward
 
     def spy(*args):
-        live.append(tracemalloc.get_traced_memory()[0])
+        live.append(tracemalloc.get_traced_memory())
         return forward(*args)
 
     monkeypatch.setattr(prompts, "_attention_forward", spy)
     _, peak = traced_peak(lambda: global_prompt(x, h, w, params))
-    qkv = 3 * n * c * 8
-    assert live[0] <= qkv + 2**18, f"live at attention {live[0] / 2**20:.2f} MiB"
+    qkv, feats = 3 * n * c * 8, n * 2 * c * 8
+    ((live_at, peak_before),) = live
+    assert live_at <= qkv + 2**18, f"live at attention {live_at / 2**20:.2f} MiB"
+    assert peak_before <= feats + qkv + 2**18, (
+        f"peak before attention {peak_before / 2**20:.2f} MiB"
+    )
     assert peak <= 9 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
@@ -555,10 +575,10 @@ def test_global_prompt_is_one_node_matching_the_composite_chain(bsz, h, w, c):
         assert got.tobytes() == want.tobytes()
 
 
-def test_global_prompt_node_keeps_the_features_output_and_log_sum_exp():
-    """Besides the three weights the closure holds the features, the
-    output and the per-row log-sum-exp, and no q, k or v: the vjp
-    rebuilds those from the features."""
+def test_global_prompt_node_keeps_the_half_spectrum_output_and_log_sum_exp():
+    """Besides the three weights the closure holds the grid's rfft half,
+    the output and the per-row log-sum-exp, and no features, q, k or v:
+    the vjp unfolds the features from the half and rebuilds the rest."""
     rng = np.random.default_rng(13)
     bsz, h, w, c = 2, 3, 5, 4
     x = Tensor(rng.standard_normal((bsz, h * w, c)), requires_grad=True)
@@ -573,11 +593,13 @@ def test_global_prompt_node_keeps_the_features_output_and_log_sum_exp():
     weights = [params.wq.data, params.wk.data, params.wv.data]
     assert len(held) == 6
     assert all(any(a is m for a in held) for m in weights + [out.data])
-    feats, lse = sorted(
+    half, lse = sorted(
         (a for a in held if not any(a is m for m in weights + [out.data])),
-        key=lambda a: -a.shape[-1],
+        key=lambda a: a.ndim, reverse=True,
     )
-    assert feats.tobytes() == spectral_features_raw(x.data, h, w).tobytes()
+    assert half.tobytes() == grid_half_spectrum(x.data, h, w).tobytes()
+    assert half.shape == (bsz, h, w // 2 + 1, c)
+    assert unfold_features(half, w).tobytes() == spectral_features_raw(x.data, h, w).tobytes()
     assert lse.shape == (bsz, h * w, 1)
 
 

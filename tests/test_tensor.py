@@ -4,12 +4,15 @@ import pytest
 from promptscan.errors import ContractError, DimensionError
 from promptscan.tensor import (
     Tensor,
+    _tap_sum,
     _unshuffle_fwd,
     absolute,
     add,
     conv2d,
     layer_norm,
+    layer_norm_linear,
     linear,
+    linear_silu_linear,
     matmul,
     mul,
     pixel_shuffle,
@@ -302,7 +305,7 @@ def test_tsum_axis_and_keepdims():
 def _value_and_grads(fn, arrays, w):
     """``fn``'s output, its node's parents, and the gradients of
     sum(fn(...) * w) on fresh leaves."""
-    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    leaves = [Tensor(a.copy(order="K"), requires_grad=True) for a in arrays]
     out = fn(*leaves)
     parents = out._parents
     (out * Tensor(w)).sum().backward()
@@ -377,6 +380,57 @@ def test_conv2d_with_bias_is_one_node_matching_the_broadcast_add(
     assert out.data.base is None or out.data.base.size == out.data.size
 
 
+def _copy_out_conv2d(x, k, pad, bias):
+    """conv2d's output as it was formed: the crop of the padded tap sums
+    copied into a compact channels-last array, the bias added as it is
+    copied."""
+    b, cin, h, w = x.shape
+    cout, _, kh, kw = k.shape
+    bh, pitch = h + pad, w + pad
+    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    n = b * bh * pitch
+    rows = -(-n // kw)
+    frame = np.zeros(((kh - 1) * pitch + kw - 1 + rows * kw, cin))
+    frame[:n].reshape(b, bh, pitch, cin)[:, pad:, pad:] = x.transpose(0, 2, 3, 1)
+    kern = k.transpose(2, 3, 1, 0).reshape(kh, kw * cin, cout)
+    full = _tap_sum(frame, kern, pitch, rows, np.empty((rows * kw, cout)))
+    full = full[:n].reshape(b, bh, pitch, cout)
+    out = np.empty((b, ho, wo, cout))
+    if bias is None:
+        out[...] = full[:, :ho, :wo]
+    else:
+        np.add(full[:, :ho, :wo], bias, out=out)
+    return out.transpose(0, 3, 1, 2)
+
+
+@pytest.mark.parametrize("ksize,pad", [(3, 0), (3, 1), (1, 0)])
+@pytest.mark.parametrize("biased", [False, True], ids=["no-bias", "bias"])
+def test_conv2d_crop_moved_in_place_matches_the_copy_out_form(ksize, pad, biased):
+    """B = 2: the crop moved to the front of the tap sums, which are then
+    shrunk to it, with the bias added in place, has the copy-out form's
+    bytes and strides, and the gradients through it are the ones through
+    a compact copy."""
+    rng = np.random.default_rng(40 + 2 * ksize + pad)
+    arrays = [rng.standard_normal((2, 3, 6, 7)), rng.standard_normal((5, 3, ksize, ksize))]
+    if biased:
+        arrays.append(rng.standard_normal(5))
+    want = _copy_out_conv2d(*arrays[:2], pad, arrays[2] if biased else None)
+    g = rng.standard_normal(want.shape)
+
+    def run(copy_out):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = conv2d(leaves[0], leaves[1], pad, *leaves[2:])
+        if copy_out:
+            out = Tensor._from_op(want.copy(order="K"), (out,), lambda gout: (gout,))
+        (transpose(out, (0, 2, 3, 1)) * Tensor(g.transpose(0, 2, 3, 1))).sum().backward()
+        return out.data, [t.grad for t in leaves]
+
+    (got, grads), (ref, ref_grads) = run(False), run(True)
+    assert got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, ref_grads))
+
+
 _EDGES = np.array([0.0, -0.0, 40.0, -40.0, 800.0, -800.0])
 
 
@@ -448,3 +502,79 @@ def test_pixel_shuffle_writes_channels_last_with_the_same_values_and_gradient(r)
     (out * Tensor(w)).sum().backward()
     np.testing.assert_array_equal(x.grad, _unshuffle_fwd(w, r))
     assert x.grad.flags.c_contiguous
+
+
+def _linear_silu_linear_chain(x, w1, b1, w2, b2):
+    return linear(silu(linear(x, w1, b1)), w2, b2)
+
+
+def _layer_norm_linear_chain(x, gamma, beta, w, b):
+    return linear(layer_norm(x, gamma, beta), w, b)
+
+
+def _module_operands(rng, bsz, order, width):
+    """(B, 64, 32) tokens in memory ``order``, as a module sees them, and
+    the cotangent of an output ``width`` channels wide."""
+    x = np.asarray(rng.standard_normal((bsz, 64, 32)) * 2.0 + 0.5, order=order)
+    return x, rng.standard_normal((bsz, 64, width))
+
+
+@pytest.mark.parametrize("bsz", [1, 3])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_linear_silu_linear_is_one_node_matching_its_chain(bsz, order, tape_bytes):
+    """Value and every parent's gradient are the three-node chain's
+    bytes, and the node keeps x, w1, b1 and w2, not the hidden layer."""
+    rng = np.random.default_rng(50 + bsz)
+    x, w = _module_operands(rng, bsz, order, 40)
+    arrays = [x, rng.uniform(-0.2, 0.2, (32, 32)), rng.standard_normal(32),
+              rng.uniform(-0.2, 0.2, (32, 40)), rng.standard_normal(40)]
+    _, parents = _assert_same_bytes(linear_silu_linear, _linear_silu_linear_chain, arrays, w)
+    assert len(parents) == 5 and all(p._vjp is None for p in parents)
+    out = linear_silu_linear(*(Tensor(a, requires_grad=True) for a in arrays))
+    assert sum(tape_bytes(out).values()) == sum(a.nbytes for a in arrays[:4])
+
+
+@pytest.mark.parametrize("bsz", [1, 3])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_layer_norm_linear_is_one_node_matching_its_chain(bsz, order, tape_bytes):
+    """Value and every parent's gradient are the two-node chain's bytes,
+    and the node keeps xhat, 1/sigma and the affine weights, not the
+    norm's output."""
+    rng = np.random.default_rng(60 + bsz)
+    x, w = _module_operands(rng, bsz, order, 24)
+    arrays = [x, rng.uniform(0.5, 1.5, 32), rng.standard_normal(32),
+              rng.uniform(-0.2, 0.2, (32, 24)), rng.standard_normal(24)]
+    _, parents = _assert_same_bytes(layer_norm_linear, _layer_norm_linear_chain, arrays, w)
+    assert len(parents) == 5 and all(p._vjp is None for p in parents)
+    out = layer_norm_linear(*(Tensor(a, requires_grad=True) for a in arrays))
+    kept = x.nbytes + bsz * 64 * 8 + sum(a.nbytes for a in arrays[1:4])
+    assert sum(tape_bytes(out).values()) == kept
+
+
+def test_untracked_layer_norm_linear_frees_xhat_before_the_gemm(traced_peak):
+    """(1, 4096, 32) without a tape: the GEMM sees only the norm's output
+    besides its own (1, 4096, 64) result, as in the two-node chain."""
+    rng = np.random.default_rng(70)
+    x = Tensor(rng.standard_normal((1, 4096, 32)))
+    weights = [Tensor(a) for a in (np.ones(32), np.zeros(32), rng.standard_normal((32, 64)),
+                                   np.zeros(64))]
+    out, peak = traced_peak(lambda: layer_norm_linear(x, *weights))
+    assert out._parents == ()
+    # the norm's output and the result 3 MiB; with xhat alive as well, 4 MiB
+    assert peak <= x.data.nbytes * 3 + 2**18, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_tape_bytes_counts_an_array_a_vjp_holds_through_a_nested_helper(tape_bytes):
+    """An array that only a helper function in a vjp's closure holds is
+    counted, and a helper that refers to itself is walked once."""
+    hidden = np.arange(1000.0)
+
+    def helper(g, again=True):
+        return helper(g, False) if again else g * hidden
+
+    def vjp(g):
+        return (helper(g),)
+
+    x = Tensor(np.ones(1000), requires_grad=True)
+    out = Tensor._from_op(x.data * 2.0, (x,), vjp)
+    assert tape_bytes(out) == {vjp.__qualname__: hidden.nbytes}

@@ -1,0 +1,30 @@
+"""The scripts under ``tools/`` run against the package in ``src``."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_replay_digest_prints_one_digest_per_artifact(tmp_path):
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "replay_digest.py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split("  ", 1)[1] for line in lines] == [
+        "train_log.tsv",
+        "checkpoint.bin",
+        "promptscan eval TSV",
+        "forward, LR 64², checkpoint seed 41",
+        "forward, LR 64², checkpoint seed 42",
+    ]
+    digests = [line.split("  ", 1)[0] for line in lines]
+    assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
+    assert len(set(digests)) == len(digests)
+    assert list(tmp_path.iterdir()) == []  # its work directory is gone

@@ -175,9 +175,11 @@ def _desk_train_loss():
 
 
 def test_desk_train_forward_tape_holds_only_what_its_vjps_read(tape_objects, tape_bytes):
-    """The desk train loss records 119 nodes whose vjps saved 16.3 MiB of
-    distinct arrays, 15.8 MiB of live traced arrays. With the global
-    prompt as five nodes (the features, three projections and an
+    """The desk train loss records 107 nodes whose vjps saved 12.4 MiB of
+    distinct arrays, 11.9 MiB of live traced arrays. With three nodes per
+    gated projection (linear, silu, linear) and two per head (layer_norm,
+    linear), and the global prompt keeping its unfolded features, 119
+    nodes saved 16.3 MiB (15.8 live). With the global prompt as five nodes (the features, three projections and an
     attention that kept q, k and v), the zoh decay as six and silu
     keeping its sigmoid, 155 nodes saved 21.3 MiB (20.8 live; 21.2 while
     each untracked parent stayed on the tape as its tensor). While the
@@ -193,13 +195,13 @@ def test_desk_train_forward_tape_holds_only_what_its_vjps_read(tape_objects, tap
         live = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert sum(t._vjp is not None for t in tape_objects(loss)) == 119
+    assert sum(t._vjp is not None for t in tape_objects(loss)) == 107
     saved = tape_bytes(loss)
     kinds = ", ".join(
         f"{kind} {n / 2**20:.2f}" for kind, n in sorted(saved.items(), key=lambda kv: -kv[1])
     )
-    assert sum(saved.values()) < 17.5 * 2**20, f"vjps saved (MiB): {kinds}"
-    assert live < 17.5 * 2**20, f"tape holds {live / 2**20:.2f} MiB; vjps saved (MiB): {kinds}"
+    assert sum(saved.values()) < 12.5 * 2**20, f"vjps saved (MiB): {kinds}"
+    assert live < 12.5 * 2**20, f"tape holds {live / 2**20:.2f} MiB; vjps saved (MiB): {kinds}"
 
 
 def _holds_a_tensor(value):
@@ -214,7 +216,7 @@ def test_desk_train_tape_keeps_no_tensor_but_its_leaves(tape_objects):
     loss = _desk_train_loss()()
     objects = tape_objects(loss)
     records = [t for t in objects if t._vjp is not None]
-    assert len(records) == 119
+    assert len(records) == 107
     holding = sorted(
         {
             t._vjp.__qualname__
