@@ -9,6 +9,7 @@ config exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, ParseError
@@ -35,12 +36,12 @@ class TrainConfig:
             raise ConfigError("batch must be at least 1")
         if self.patch < 8:
             raise ConfigError("patch must be at least 8")
-        if self.lr < 0:
-            raise ConfigError("lr must be >= 0")
+        if not math.isfinite(self.lr) or self.lr < 0:
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("beta1 and beta2 must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
+        if not math.isfinite(self.eps) or self.eps <= 0:
+            raise ConfigError(f"eps must be finite and positive, got {self.eps}")
         if self.log_every < 1 or self.ckpt_every < 1:
             raise ConfigError("log_every and ckpt_every must be at least 1")
 

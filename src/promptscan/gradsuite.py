@@ -58,13 +58,12 @@ from .network import (
 from .prompts import (
     GlobalPromptParams,
     PromptPool,
-    gather_spatial_prompt,
     global_prompt,
     gumbel_noise,
     route_tokens,
 )
 from .resize import resample
-from .scan import SemanticOrder, derive_ssm_params, gated_recurrence, prompted_scan
+from .scan import SemanticOrder, gated_recurrence, zoh_decay
 from .tensor import (
     Tensor,
     absolute,
@@ -441,7 +440,7 @@ def _mk_selective_scan(rng, _i):
     w = _w(rng, (bsz, n, c))
 
     def forward():
-        return _wsum(prompted_scan(x, a, b, cr + pf, order), w)
+        return _wsum(gated_recurrence(x, a, b, cr + pf, order=order), w)
 
     return forward, [x, a, b, cr, pf]
 
@@ -454,7 +453,8 @@ def _mk_derive_params(rng, _i):
     wt = _w(rng, (2, 5, t))
 
     def forward():
-        a_decay, b_in, c_raw, logits = derive_ssm_params(x_in, c, t, a_log)
+        a_decay = zoh_decay(x_in, c, a_log)
+        b_in, c_raw, logits = x_in[..., c : 2 * c], x_in[..., 2 * c : 3 * c], x_in[..., 3 * c :]
         return _wsum(a_decay, ws[0]) + _wsum(b_in + c_raw, ws[1]) + _wsum(logits, wt)
 
     return forward, [x_in, a_log]
@@ -473,7 +473,7 @@ def _mk_route_soft(rng, _i):
 
     def forward():
         route = route_tokens(logits, pool, train_mode=True, route_mode="soft", noise=noise)
-        return _wsum(gather_spatial_prompt(route, pool), w)
+        return _wsum(route @ pool.pool, w)
 
     return forward, [logits, pool.pool]
 

@@ -25,21 +25,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-from .prompts import (
-    GlobalPromptParams,
-    PromptPool,
-    fuse_prompts,
-    gather_spatial_prompt,
-    global_prompt,
-    route_tokens,
-)
+from .prompts import GlobalPromptParams, PromptPool, global_prompt, route_tokens
 from .resize import resample
-from .scan import (
-    derive_ssm_params,
-    prompted_scan,
-    semantic_order,
-    stable_a_log_init,
-)
+from .scan import gated_recurrence, semantic_order, stable_a_log_init, zoh_decay
 from .tensor import (
     Tensor,
     astensor,
@@ -82,10 +70,12 @@ class ModelConfig:
             raise ConfigError("blocks and modules_per_block must be at least 1")
         if self.pool_size < 2:
             raise ConfigError("pool_size must be at least 2")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
+        if not np.isfinite(self.temperature) or self.temperature <= 0:
+            raise ConfigError(f"temperature must be finite and positive, got {self.temperature}")
         if self.prompts not in ("fused", "off"):
             raise ConfigError(f"unknown prompts mode {self.prompts!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -275,67 +265,67 @@ def asf_ssm_forward(
 ) -> Tensor:
     """One prompt-guided scan module over a (B, N, C) token sequence.
 
-    Pipeline: spectral attention over ``x`` gives the global prompt, a
-    gated projection packs per-token scan gates and routing logits, the
-    router picks spatial prompts from the pool, both prompts fuse into
-    the output gate, and the recurrence runs along the semantic token
+    In the paper's order: spectral attention over ``x`` gives the global
+    prompt; the gated projection packs, per token, the channels
+    [timescale | b_in | c_raw | logits] of widths C, C, C and T; the
+    timescale becomes the zero-order-hold decay, the router picks spatial
+    prompts from the pool with the logits, both prompts add into the
+    output gate c_raw, and the recurrence runs along the semantic token
     order. A layer norm plus linear head closes the module. The gated
-    projection and the head are one tape node each
-    (``linear_silu_linear``, ``layer_norm_linear``), keeping besides
-    their weights only x, and xhat and 1/sigma. The global prompt reads
-    only ``x``, so it runs first, while nothing else is alive; the
-    projection and the routing live in ``_scan_operands``, so that
-    without a tape every intermediate dies after its last reader and
-    only the scan's own operands are alive during the scan. ``trace``
-    collects copies of the published intermediates for fixture
-    comparison.
+    projection, the head, the global prompt and the decay are one tape
+    node each. The global prompt reads only ``x``, so it runs first,
+    while nothing else is alive, and each later intermediate is dropped
+    after its last reader, so that without a tape only the scan's own
+    operands are alive during the scan. ``trace`` collects copies of the
+    published intermediates for fixture comparison.
     """
     mode = mode or ForwardMode()
     x = astensor(x)
-    if x.ndim != 3 or x.shape[2] != cfg.channels:
-        raise DimensionError(
-            f"module input must be (B, N, {cfg.channels}), got {tuple(x.shape)}"
-        )
+    c, fused = cfg.channels, cfg.prompts == "fused"
+    if x.ndim != 3 or x.shape[2] != c:
+        raise DimensionError(f"module input must be (B, N, {c}), got {tuple(x.shape)}")
     if x.shape[1] != h * w:
         raise DimensionError(f"token count {x.shape[1]} does not factor as {h}x{w}")
 
-    y = prompted_scan(x, *_scan_operands(x, mp, cfg, h, w, mode, trace), trace=trace)
+    p_global = global_prompt(x, h, w, mp.attn) if fused else None
+    x_in = linear_silu_linear(x, mp.w_mlp, mp.b_mlp, mp.w_in, mp.b_in)
+    if x_in.shape[-1] != 3 * c + cfg.pool_size:
+        raise DimensionError(
+            f"packed projection has {x_in.shape[-1]} channels, "
+            f"expected 3C+T = {3 * c + cfg.pool_size}"
+        )
+    if trace is not None:
+        trace["x_in"] = x_in.data.copy()
+    a_decay = zoh_decay(x_in, c, mp.a_log)
+    b_in = x_in[..., c : 2 * c]
+    c_s = x_in[..., 2 * c : 3 * c]
+    logits = x_in[..., 3 * c :] if fused else None
+    del x_in
+
+    order = None
+    if fused:
+        route = route_tokens(logits, mp.pool, mode.train, route_mode=mode.route)
+        del logits
+        p_spatial = route @ mp.pool.pool
+        p_fused = p_spatial + p_global
+        if mode.route == "hard":
+            order = semantic_order(route)
+        if trace is not None:
+            trace["route"] = route.data.copy()
+            trace["p_spatial"] = p_spatial.data.copy()
+            trace["p_global"] = p_global.data.copy()
+            trace["p_fused"] = p_fused.data.copy()
+            trace["perm"] = None if order is None else order.perm.copy()
+        del route, p_spatial, p_global
+        c_s = c_s + p_fused
+        del p_fused
+
+    y = gated_recurrence(x, a_decay, b_in, c_s, order=order, trace=trace)
+    del a_decay, b_in, c_s
     out = layer_norm_linear(y, mp.ln_g, mp.ln_b, mp.w_out, mp.b_out)
     if trace is not None:
         trace["out"] = out.data.copy()
     return out
-
-
-def _scan_operands(x, mp, cfg, h, w, mode, trace):
-    """The decay, the input gate, the prompted output gate c_raw + p_fused
-    and the semantic order of one module, as ``prompted_scan``'s
-    arguments after ``x``. c_raw and the prompts die on return."""
-    if cfg.prompts == "off":
-        a_decay, b_in, c_raw, _ = _scan_gates(x, mp, cfg, trace)
-        return a_decay, b_in, c_raw, None
-    p_global = global_prompt(x, h, w, mp.attn)
-    a_decay, b_in, c_raw, logits = _scan_gates(x, mp, cfg, trace)
-    route = route_tokens(logits, mp.pool, mode.train, route_mode=mode.route)
-    p_spatial = gather_spatial_prompt(route, mp.pool)
-    p_fused = fuse_prompts(p_spatial, p_global)
-    order = semantic_order(route) if mode.route == "hard" else None
-    if trace is not None:
-        trace["route"] = route.data.copy()
-        trace["p_spatial"] = p_spatial.data.copy()
-        trace["p_global"] = p_global.data.copy()
-        trace["p_fused"] = p_fused.data.copy()
-        trace["perm"] = None if order is None else order.perm.copy()
-    return a_decay, b_in, c_raw + p_fused, order
-
-
-def _scan_gates(x, mp, cfg, trace):
-    """The decay, the two gates and the router's logits from the gated
-    projection of ``x``, one node whose hidden layer dies inside it. The
-    packed projection dies on return."""
-    x_in = linear_silu_linear(x, mp.w_mlp, mp.b_mlp, mp.w_in, mp.b_in)
-    if trace is not None:
-        trace["x_in"] = x_in.data.copy()
-    return derive_ssm_params(x_in, cfg.channels, cfg.pool_size, mp.a_log)
 
 
 def asf_ssb_forward(

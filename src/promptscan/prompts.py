@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
 from .fft import grid_half_spectrum, spectral_features_grad, unfold_features
-from .tensor import Tensor, _unbroadcast, astensor, matmul, softmax
+from .tensor import Tensor, _unbroadcast, astensor, softmax
 
 # keys per attention tile, and score elements per (query block x key
 # tile) over the whole batch: 2**16 float64 values, 512 KiB, so that a
@@ -117,16 +117,6 @@ def route_tokens(
     hard = np.zeros_like(soft.data)
     np.put_along_axis(hard, keys[..., None], 1.0, axis=-1)
     return _straight_through(soft, hard)
-
-
-def gather_spatial_prompt(route: Tensor, pool: PromptPool) -> Tensor:
-    """Per-token pool lookup, written as route @ pool so both get gradients."""
-    route = astensor(route)
-    if route.shape[-1] != pool.size:
-        raise DimensionError(
-            f"route width {route.shape[-1]} does not match pool size {pool.size}"
-        )
-    return matmul(route, pool.pool)
 
 
 def _augment(x: np.ndarray, col) -> np.ndarray:
@@ -531,17 +521,3 @@ def global_prompt(x: Tensor, h: int, w: int, params: GlobalPromptParams) -> Tens
         return (gx,) + tuple(_unbroadcast(ft @ gm, m.shape) for gm, m in zip((gq, gk, gv), ws))
 
     return Tensor._from_op(out, parents, vjp)
-
-
-def fuse_prompts(p_spatial: Tensor, p_global: Tensor) -> Tensor:
-    """Elementwise sum of the two streams.
-
-    Any reordering for the scan happens downstream, where the fused
-    prompt is permuted together with the other per-token operands.
-    """
-    p_spatial, p_global = astensor(p_spatial), astensor(p_global)
-    if p_spatial.shape != p_global.shape:
-        raise DimensionError(
-            f"prompt shapes differ: {tuple(p_spatial.shape)} vs {tuple(p_global.shape)}"
-        )
-    return p_spatial + p_global

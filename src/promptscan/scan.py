@@ -46,10 +46,11 @@ tokens influence earlier outputs is through the fused prompt added to
 the output gate, which is the point of the whole construction.
 
 On top of the primitive: Mamba's zero-order-hold decay as one node that
-keeps only the projection's C timescale channels, the split of a packed
-projection into the scan's gates, the semantic token ordering, the one
-entry point :func:`prompted_scan`, and a gradient-based reach probe used
-to demonstrate the causal/non-causal dichotomy.
+keeps only the projection's C timescale channels, the semantic token
+ordering, and a gradient-based reach probe used to demonstrate the
+causal/non-causal dichotomy. :func:`gated_recurrence` is the one scan
+entry point; the module in ``network`` slices its gates out of the
+packed projection.
 """
 
 from __future__ import annotations
@@ -129,8 +130,9 @@ def gated_recurrence(
     ``order.perm``, and y[:, t] still belongs to input token t: the
     recurrences gather their inputs into scan order and their states
     back, and the node keeps only the scan-order states. Passing a dict
-    as ``trace`` stores copies of the scan-order state trajectory ``h``
-    and gated output ``y`` for inspection.
+    as ``trace`` stores copies of the scan-order gate ``c_s``, state
+    trajectory ``h`` and gated output ``y``, and of the outputs in input
+    order, ``y_tokens``, for inspection.
     """
     x, a, b, c = astensor(x), astensor(a), astensor(b), astensor(c)
     if x.ndim != 3:
@@ -154,8 +156,10 @@ def gated_recurrence(
     del a_scan  # now running decay products, which nothing reads
     y = cd * _gather(h, inv)
     if trace is not None:
+        trace["c_s"] = cd.copy() if perm is None else _gather(cd, perm)
         trace["h"] = h.copy()
-        trace["y"] = _gather(cd, perm) * h
+        trace["y"] = trace["c_s"] * h
+        trace["y_tokens"] = y.copy()
 
     def vjp(g):
         # only the adjoint recurrence runs in scan order; each cotangent is
@@ -171,7 +175,7 @@ def gated_recurrence(
     return Tensor._from_op(y, (x, a, b, c), vjp)
 
 
-# -- gate derivation ---------------------------------------------------
+# -- zero-order-hold decay ---------------------------------------------
 
 
 def zoh_decay(x_in, c: int, a_log) -> Tensor:
@@ -209,32 +213,6 @@ def zoh_decay(x_in, c: int, a_log) -> Tensor:
     return Tensor._from_op(a, (x_in, a_log), vjp)
 
 
-def derive_ssm_params(x_in: Tensor, channels: int, pool_size: int, a_log: Tensor):
-    """Split the packed projection into the scan's decay and gates plus
-    router logits.
-
-    Channel layout of ``x_in`` is [timescale | b_in | c_raw | router],
-    sizes C, C, C, T. The first C channels become the decay through
-    :func:`zoh_decay`; the others are sliced out as they are.
-
-    Returns (a_decay, b_in, c_raw, router_logits).
-    """
-    x_in = astensor(x_in)
-    want = 3 * channels + pool_size
-    if x_in.ndim != 3 or x_in.shape[-1] != want:
-        raise DimensionError(
-            f"packed projection has {x_in.shape[-1] if x_in.ndim == 3 else x_in.shape} "
-            f"channels, expected 3C+T = {want}"
-        )
-    c = channels
-    return (
-        zoh_decay(x_in, c, a_log),
-        x_in[..., c : 2 * c],
-        x_in[..., 2 * c : 3 * c],
-        x_in[..., 3 * c :],
-    )
-
-
 def stable_a_log_init(target: float = 0.9) -> float:
     """a_log value giving a_decay = target at the softplus(0) timescale."""
     if not 0 < target < 1:
@@ -270,34 +248,6 @@ def semantic_order(route) -> SemanticOrder:
     perm = np.argsort(keys, axis=-1, kind="stable")
     inv_perm = np.argsort(perm, axis=-1)
     return SemanticOrder(perm=perm, inv_perm=inv_perm)
-
-
-# -- the prompt-guided scan ---------------------------------------------
-
-
-def prompted_scan(
-    x: Tensor,
-    a_decay: Tensor,
-    b_in: Tensor,
-    c_s: Tensor,
-    order: SemanticOrder | None = None,
-    trace: dict | None = None,
-) -> Tensor:
-    """The recurrence with output gate ``c_s`` (c_raw + p_fused), along
-    ``order``: the scan's one entry point.
-
-    The recurrence node visits the tokens in scan order and returns them
-    in input order, so output token t corresponds to input token t. The
-    caller passes the gate it fused, so that while the recurrence runs
-    nothing holds c_raw or the prompts. A ``trace`` dict, when given,
-    receives the scan-order gate ("c_s"), the state trajectory ("h"), the
-    scan-order outputs ("y") and the restored outputs ("y_tokens").
-    """
-    y = gated_recurrence(x, a_decay, b_in, c_s, trace=trace, order=order)
-    if trace is not None:
-        trace["c_s"] = c_s.data.copy() if order is None else _gather(c_s.data, order.perm)
-        trace["y_tokens"] = y.data.copy()
-    return y
 
 
 # -- reach probe ----------------------------------------------------------

@@ -229,6 +229,8 @@ def evaluate(pairs, params: ModelParams, cfg: ModelConfig, workers: int = 1) -> 
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda p: _eval_one(p, params, cfg), pairs))
+    if not rows:
+        raise ContractError("evaluation dataset is empty")
     n = len(rows)
     mean = EvalRow(
         image="mean",

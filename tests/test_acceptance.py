@@ -35,7 +35,7 @@ from promptscan.network import (
 )
 from promptscan.prompts import PromptPool, gumbel_noise, route_tokens
 from promptscan.resize import bicubic_resize, resample
-from promptscan.scan import SemanticOrder, causal_reach, prompted_scan
+from promptscan.scan import SemanticOrder, causal_reach, gated_recurrence
 from promptscan.tensor import Tensor
 from promptscan.training import (
     ImagePair,
@@ -98,7 +98,7 @@ def test_c02_scan_oracle():
             order = SemanticOrder(perm=perm, inv_perm=np.argsort(perm, axis=-1))
         else:
             order = None
-        y = prompted_scan(Tensor(x), Tensor(a), Tensor(b), Tensor(c) + Tensor(pf), order)
+        y = gated_recurrence(Tensor(x), Tensor(a), Tensor(b), Tensor(c) + Tensor(pf), order=order)
 
         # sequential python-float recurrence, one channel at a time
         want = np.zeros_like(x)

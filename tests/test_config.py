@@ -10,8 +10,8 @@ from promptscan.config import (
     parse_config,
     parse_model_config,
 )
-from promptscan.errors import ParseError
-from promptscan.network import ModelConfig
+from promptscan.errors import ConfigError, ParseError
+from promptscan.network import ModelConfig, build_model
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -88,6 +88,28 @@ def test_validation_error_mapped_to_offending_line():
     text = "model.channels=8\nmodel.scale=3\n"
     with pytest.raises(ParseError, match="line 2.*scale"):
         parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "model.seed=-1",
+        "model.temperature=nan",
+        "model.temperature=inf",
+        "train.lr=nan",
+        "train.lr=inf",
+        "train.eps=inf",
+    ],
+)
+def test_values_the_program_cannot_run_are_parse_errors_naming_their_line(line):
+    key = line.partition("=")[0].split(".")[1]
+    with pytest.raises(ParseError, match=f"line 2: {key} must be"):
+        parse_config(f"model.channels=8\n{line}\n")
+
+
+def test_negative_seed_cannot_build_a_model():
+    with pytest.raises(ConfigError, match="seed"):
+        build_model(ModelConfig(seed=-1))
 
 
 def test_source_name_appears_in_errors(tmp_path):

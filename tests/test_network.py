@@ -17,7 +17,7 @@ from promptscan.network import (
     seed_streams,
 )
 from promptscan.resize import resample
-from promptscan.scan import derive_ssm_params
+from promptscan.scan import zoh_decay
 from promptscan.tensor import Tensor, conv2d, linear_silu_linear, pixel_shuffle
 
 TINY = dict(channels=4, blocks=1, modules_per_block=1, pool_size=2, scale=2)
@@ -155,7 +155,9 @@ def _x_in_read_by_the_gate_slices(params, cfg, rng):
     mid = linear_silu_linear(x, mp.w_mlp, mp.b_mlp, mp.w_in, mp.b_in)
 
     def consume():
-        return list(derive_ssm_params(mid, cfg.channels, cfg.pool_size, a_log=mp.a_log))
+        c = cfg.channels
+        gates = [mid[..., c : 2 * c], mid[..., 2 * c : 3 * c], mid[..., 3 * c :]]
+        return [zoh_decay(mid, c, mp.a_log)] + gates
 
     return x, mid, consume
 
@@ -226,6 +228,19 @@ def test_traced_module_publishes_the_scan_in_scan_order():
     assert np.any(perm[..., 0] != np.arange(64))
     assert trace["y"].tobytes() == (trace["c_s"] * trace["h"]).tobytes()
     assert trace["y"].tobytes() == np.take_along_axis(trace["y_tokens"], perm, 1).tobytes()
+    assert trace["out"].tobytes() == out.data.tobytes()
+
+
+def test_traced_module_without_prompts_publishes_only_the_scan():
+    cfg = desk_config(prompts="off")
+    mp = build_model(cfg).blocks[0].modules[0]
+    x = Tensor(np.random.default_rng(13).standard_normal((2, 64, cfg.channels)))
+    trace = {}
+    out = asf_ssm_forward(x, mp, cfg, 8, 8, trace=trace)
+    assert set(trace) == {"x_in", "c_s", "h", "y", "y_tokens", "out"}
+    c = cfg.channels
+    assert trace["c_s"].tobytes() == trace["x_in"][..., 2 * c : 3 * c].tobytes()
+    assert trace["y"].tobytes() == trace["y_tokens"].tobytes()
     assert trace["out"].tobytes() == out.data.tobytes()
 
 

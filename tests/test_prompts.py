@@ -10,8 +10,6 @@ from promptscan.prompts import (
     GlobalPromptParams,
     PromptPool,
     attention,
-    fuse_prompts,
-    gather_spatial_prompt,
     global_prompt,
     gumbel_noise,
     route_tokens,
@@ -84,7 +82,7 @@ def test_gather_picks_pool_rows():
     keys = [2, 0, 1, 2]
     for i, k in enumerate(keys):
         route[0, i, k] = 1.0
-    picked = gather_spatial_prompt(Tensor(route), pool).data
+    picked = (Tensor(route) @ pool.pool).data
     np.testing.assert_array_equal(picked[0], pool.pool.data[keys])
 
 
@@ -661,10 +659,3 @@ def test_global_prompt_at_128_grid_with_checkpoint_weights_splits_under_memory_c
         lambda rng, shape: rng.uniform(-1.0, 1.0, shape) / np.sqrt(shape[0])
     )
     assert cuts is not None and cuts[0] >= 8 and cuts[1] >= 8
-
-
-def test_fuse_prompts_shape_check():
-    a = Tensor(np.zeros((1, 4, 3)))
-    b = Tensor(np.zeros((1, 4, 2)))
-    with pytest.raises(DimensionError):
-        fuse_prompts(a, b)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from promptscan.errors import ContractError, DimensionError, NumericalConsistencyError
+from promptscan.network import asf_ssm_forward, build_model, desk_config
 from promptscan.scan import (
     SemanticOrder,
-    derive_ssm_params,
     gated_recurrence,
-    prompted_scan,
     semantic_order,
     stable_a_log_init,
     zoh_decay,
@@ -209,7 +208,7 @@ def test_identity_order_is_causal_exact_zeros():
     b, c = rng.standard_normal((2,) + shape)
     for t in range(6):
         x = Tensor(rng.standard_normal(shape), requires_grad=True)
-        y = prompted_scan(x, Tensor(a), Tensor(b), Tensor(c) + Tensor(np.zeros(shape)), None)
+        y = gated_recurrence(x, Tensor(a), Tensor(b), Tensor(c) + Tensor(np.zeros(shape)))
         y[(0, t)].sum().backward()
         assert np.all(x.grad[0, t + 1 :] == 0.0)
         # and the diagonal itself is live
@@ -240,7 +239,8 @@ def test_ordered_scan_equals_oracle_on_permuted_sequence():
     perm = np.stack([rng.permutation(7) for _ in range(2)])
     order = SemanticOrder(perm=perm, inv_perm=np.argsort(perm, axis=-1))
 
-    out = prompted_scan(Tensor(x), Tensor(a), Tensor(b), Tensor(c) + Tensor(pf), order).data
+    c_s = Tensor(c) + Tensor(pf)
+    out = gated_recurrence(Tensor(x), Tensor(a), Tensor(b), c_s, order=order).data
 
     ref = np.zeros(shape)
     for bi in range(2):
@@ -262,7 +262,7 @@ def test_hard_order_scan_is_one_node_matching_gather_oracle():
     inv = np.argsort(perm, axis=-1)
     rows = np.arange(3)[:, None]
     x, a, b, cr, pf = (Tensor(v, requires_grad=True) for v in (x0, a0, b0, c0, pf0))
-    y = prompted_scan(x, a, b, cr + pf, SemanticOrder(perm=perm, inv_perm=inv))
+    y = gated_recurrence(x, a, b, cr + pf, order=SemanticOrder(perm=perm, inv_perm=inv))
     assert len(y._parents) == 4
     assert all(p is q for p, q in zip(y._parents[:3], (x, a, b)))
     c_s = y._parents[3]
@@ -282,7 +282,7 @@ def test_ordered_scan_rejects_wrong_perm_shape():
     good = Tensor(np.zeros((1, 4, 3)))
     perm = np.zeros((1, 3), dtype=int)
     with pytest.raises(DimensionError):
-        prompted_scan(good, good, good, good + good, SemanticOrder(perm=perm, inv_perm=perm))
+        gated_recurrence(good, good, good, good, order=SemanticOrder(perm=perm, inv_perm=perm))
 
 
 def test_prompted_scan_checks_operand_shapes():
@@ -290,7 +290,7 @@ def test_prompted_scan_checks_operand_shapes():
     good = Tensor(np.zeros(shape))
     bad = Tensor(np.zeros((1, 4, 3)))
     with pytest.raises(DimensionError) as err:
-        prompted_scan(good, good, good, bad)
+        gated_recurrence(good, good, good, bad)
     assert "scan operand c has shape (1, 4, 3)" in str(err.value)
 
 
@@ -299,7 +299,9 @@ def test_derive_split_layout_oracle():
     c, t = 3, 4
     raw = rng.standard_normal((2, 5, 3 * c + t))
     a_log = rng.standard_normal(c)
-    a_decay, b_in, c_raw, logits = derive_ssm_params(Tensor(raw), c, t, Tensor(a_log))
+    x_in = Tensor(raw)
+    a_decay = zoh_decay(x_in, c, Tensor(a_log))
+    b_in, c_raw, logits = x_in[..., c : 2 * c], x_in[..., 2 * c : 3 * c], x_in[..., 3 * c :]
 
     delta_ref = np.log1p(np.exp(-np.abs(raw[..., :c]))) + np.maximum(raw[..., :c], 0)
     np.testing.assert_array_equal(b_in.data, raw[..., c : 2 * c])
@@ -346,10 +348,12 @@ def test_zoh_decay_is_one_node_matching_the_chain(layout):
 
 
 def test_derive_rejects_wrong_width():
-    x = Tensor(np.zeros((1, 3, 7)))
+    cfg = desk_config(channels=3, blocks=1, modules_per_block=1, pool_size=4)
+    mp = build_model(cfg).blocks[0].modules[0]
+    mp.w_in, mp.b_in = Tensor(np.zeros((3, 7))), Tensor(np.zeros(7))
     with pytest.raises(DimensionError) as err:
-        derive_ssm_params(x, 3, 4, Tensor(np.zeros(3)))
-    assert "3C+T" in str(err.value)
+        asf_ssm_forward(Tensor(np.zeros((1, 64, 3))), mp, cfg, 8, 8)
+    assert "3C+T = 13" in str(err.value)
 
 
 def test_stable_a_log_init_hits_target_decay_at_zero_input():

@@ -1,5 +1,7 @@
 """The scripts under ``tools/`` run against the package in ``src``."""
 
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -28,3 +30,17 @@ def test_replay_digest_prints_one_digest_per_artifact(tmp_path):
     assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
     assert len(set(digests)) == len(digests)
     assert list(tmp_path.iterdir()) == []  # its work directory is gone
+
+
+def test_every_name_the_bench_traces_resolves_in_promptscan():
+    """The bench wraps these names by lookup, and one the program no
+    longer defines only lands in the tracer's ``missing`` list and reads
+    as 0 in the per-layer metrics, so a rename shows up here instead."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, name, *_ in spans.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"promptscan.{module}"), name, None)), name
+    for module, cls, name, *_ in spans.METHODS:
+        owner = getattr(importlib.import_module(f"promptscan.{module}"), cls, None)
+        assert callable(getattr(owner, name, None)), f"{cls}.{name}"

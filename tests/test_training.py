@@ -257,6 +257,12 @@ def test_evaluate_appends_mean_row():
     assert rows[2].ssim == pytest.approx((rows[0].ssim + rows[1].ssim) / 2)
 
 
+def test_evaluate_rejects_empty_dataset():
+    cfg = desk_config(**TINY)
+    with pytest.raises(ContractError, match="empty"):
+        evaluate([], build_model(cfg), cfg)
+
+
 def test_evaluate_threaded_matches_serial():
     cfg = desk_config(**TINY)
     params = build_model(cfg)
