@@ -65,6 +65,10 @@ def read_pgm(path):
             f"file has {len(buf) - off}"
         )
     raw = np.frombuffer(buf, dtype=">u2" if wide else np.uint8, count=w * h, offset=off)
+    above = np.flatnonzero(raw > maxval)
+    if above.size:
+        at = off + int(above[0]) * raw.itemsize
+        raise ParseError(f"{source}: sample {raw[above[0]]} at byte {at} exceeds maxval {maxval}")
     img = raw.reshape(h, w).astype(np.float64)
     if maxval != 255:
         img = img * (255.0 / maxval)

@@ -19,7 +19,7 @@ from .fft import grid_half_spectrum, spectral_features_grad, unfold_features
 from .tensor import Tensor, _unbroadcast, astensor, softmax
 
 # keys per attention tile, and score elements per (query block x key
-# tile) over the whole batch: 2**16 float64 values, 512 KiB, so that a
+# tile) of one batch element: 2**16 float64 values, 512 KiB, so that a
 # tile's scores, keys and values stay in a 2 MiB L2 through all passes
 _ATTN_KEY_TILE = 256
 _ATTN_BLOCK_ELEMS = 1 << 16
@@ -142,43 +142,42 @@ def _augment_t(x: np.ndarray) -> np.ndarray:
 
 def _exact_sums(qa, kat, v, buf, out, total):
     """Write sum_j e_ij v_j into ``out`` and sum_j e_ij into ``total``,
-    with e_ij = exp(qa_i . kat_j), for (B, R, C + 1) rows ``qa`` against
-    (B, C + 1, K) keys ``kat``.
+    with e_ij = exp(qa_i . kat_j), for one batch element's (R, C + 1)
+    rows ``qa`` against its (C + 1, K) keys ``kat``.
 
     Rows go in blocks and keys in tiles of ``_ATTN_KEY_TILE``; a block
-    holds at most ``_ATTN_BLOCK_ELEMS`` scores over the whole batch and
-    lives in ``buf``. The tiles' partial sums add: each row's shift
-    rides in ``qa`` and is the same for every tile.
+    holds at most ``_ATTN_BLOCK_ELEMS`` scores and lives in ``buf``. The
+    tiles' partial sums add: each row's shift rides in ``qa`` and is the
+    same for every tile.
     """
-    bsz, nq = qa.shape[:2]
-    nk = kat.shape[-1]
-    rows, tk = _block_shape(bsz, nq, nk)
-    scores = buf[: bsz * rows * tk].reshape(bsz, rows, tk)
-    part = np.empty((bsz, rows, v.shape[-1]))
+    nq, nk = qa.shape[0], kat.shape[1]
+    rows, tk = _block_shape(nq, nk)
+    scores = buf[: rows * tk].reshape(rows, tk)
+    part = np.empty((rows, v.shape[-1]))
     ones = np.ones(tk)
     for lo in range(0, nq, rows):
         blk = slice(lo, lo + rows)
-        o = out[:, blk]
+        o = out[blk]
         for tile in (slice(t, t + tk) for t in range(0, nk, tk)):
-            e = _probs(qa[:, blk], kat[..., tile], scores)
+            e = _probs(qa[blk], kat[:, tile], scores)
             if tile.start == 0:
-                total[:, blk] = e @ ones[: e.shape[-1]]
-                np.matmul(e, v[:, tile], out=o)
+                total[blk] = e @ ones[: e.shape[1]]
+                np.matmul(e, v[tile], out=o)
             else:
-                total[:, blk] += e @ ones[: e.shape[-1]]
-                o += np.matmul(e, v[:, tile], out=part[:, : e.shape[1]])
+                total[blk] += e @ ones[: e.shape[1]]
+                o += np.matmul(e, v[tile], out=part[: e.shape[0]])
 
 
-def _block_shape(bsz, nq, nk):
+def _block_shape(nq, nk):
     """(rows, keys) of a score block: a tile of ``_ATTN_KEY_TILE`` keys and
-    the rows that fill ``_ATTN_BLOCK_ELEMS`` scores over the whole batch."""
+    the rows that fill ``_ATTN_BLOCK_ELEMS`` scores, whatever the batch."""
     tk = min(nk, _ATTN_KEY_TILE)
-    return min(nq, max(1, _ATTN_BLOCK_ELEMS // (bsz * tk))), tk
+    return min(nq, max(1, _ATTN_BLOCK_ELEMS // tk)), tk
 
 
 def _probs(qa_blk, kat_tile, buf):
     """exp of the augmented score GEMM for one block and key tile, in ``buf``."""
-    e = np.matmul(qa_blk, kat_tile, out=buf[:, : qa_blk.shape[1], : kat_tile.shape[-1]])
+    e = np.matmul(qa_blk, kat_tile, out=buf[: qa_blk.shape[0], : kat_tile.shape[1]])
     np.exp(e, out=e)
     return e
 
@@ -218,7 +217,7 @@ def _far_split(sq, kn, c, cv):
     light = pair * f > far
     heavy, light = np.flatnonzero(~light), np.flatnonzero(light)
     light = light[np.argsort(f[light], kind="stable")]
-    rows = _block_shape(1, nq, nk)[0]
+    rows = _block_shape(nq, nk)[0]
     cuts = f[light[::rows]]
     sizes = np.minimum(rows, light.size - np.arange(0, light.size, rows))
     exact = heavy.size * nk + sizes @ (nk - cuts)
@@ -291,14 +290,14 @@ def _row_sums(q, scale, shift, rows, kat, v, moments, buf, out, total):
     """
     c = q.shape[-1]
     width = _far_width(c)
-    chunk = _block_shape(1, max(1, rows.size), max(1, kat.shape[-1]))[0]
+    chunk = _block_shape(max(1, rows.size), max(1, kat.shape[-1]))[0]
     part = max(1, _ATTN_BLOCK_ELEMS // width)
     for lo in range(0, rows.size, chunk):
         idx = rows[lo : lo + chunk]
         qa = _augment(q[idx] * scale, -shift[idx])
-        o, t = np.zeros((1, idx.size, v.shape[-1])), np.zeros((1, idx.size))
+        o, t = np.zeros((idx.size, v.shape[-1])), np.zeros(idx.size)
         if kat.shape[-1]:
-            _exact_sums(qa[None], kat[None], v[None], buf, o, t)
+            _exact_sums(qa, kat, v, buf, o, t)
         if moments is not None:
             for f in range(0, idx.size, part):
                 x = qa[f : f + part]
@@ -308,9 +307,9 @@ def _row_sums(q, scale, shift, rows, kat, v, moments, buf, out, total):
                 _far_features(feats, c)
                 far = feats.T @ moments
                 w = np.exp(x[:, -1])
-                o[0, f : f + part] += far[:, :-1] * w[:, None]
-                t[0, f : f + part] += far[:, -1] * w
-        out[idx], total[idx] = o[0], t[0]
+                o[f : f + part] += far[:, :-1] * w[:, None]
+                t[f : f + part] += far[:, -1] * w
+        out[idx], total[idx] = o, t
 
 
 def attention(q, k, v, scale: float) -> Tensor:
@@ -329,11 +328,11 @@ def attention(q, k, v, scale: float) -> Tensor:
 
     - heavy rows, too close to pay for a series, run the tiled loop over
       all keys: blocks of query rows against tiles of ``_ATTN_KEY_TILE``
-      keys, a block holding at most ``_ATTN_BLOCK_ELEMS`` scores over
-      the whole batch so that its scores, keys and values stay in cache
-      at any token count. The scale and the shift ride in the score
-      GEMM through one extra contraction column, [scale * q, -m] @
-      [k^T; 1] = s - m, and row totals are a GEMV against ones;
+      keys, a block holding at most ``_ATTN_BLOCK_ELEMS`` scores so that
+      its scores, keys and values stay in cache at any token count and
+      batch. The scale and the shift ride in the score GEMM through one
+      extra contraction column, [scale * q, -m] @ [k^T; 1] = s - m, and
+      row totals are a GEMV against ones;
     - light rows go, in order of f_i, in chunks of one score block's
       rows, and a chunk's cut is the least f_i among them: against the
       near keys past the cut they run the same exact tiles;
@@ -350,11 +349,11 @@ def attention(q, k, v, scale: float) -> Tensor:
       M grows with them.
 
     The rows and cuts come from ``_far_split``, a flop-count cost model
-    over the sorted key norms of each batch element. When no split pays
-    (N = 256, large norms), every row is heavy and, if no batch element
-    splits, the whole batch runs the tiled loop as one. All parts share
-    one buffer of ``_ATTN_BLOCK_ELEMS`` values, so memory is linear in
-    the token count.
+    over the sorted key norms of each batch element, which runs on its
+    own: when no split pays (N = 256, large norms), every row is heavy
+    and the tiled loop runs on the element's rows directly. All parts
+    share one buffer of ``_ATTN_BLOCK_ELEMS`` values, so memory is
+    linear in the token count.
 
     A row whose total underflows (below 1e-200: the bound overshoots its
     true max by about 460 or more, which needs extreme logits) or is NaN
@@ -398,28 +397,27 @@ def _attention_forward(q, k, v, scale):
     out = np.empty(q.shape[:2] + v.shape[2:])
     total = np.empty(q.shape[:2])
     buf = np.empty(_ATTN_BLOCK_ELEMS)
-    if not any(splits):  # every row heavy: the whole batch in one tiled loop
-        _exact_sums(_augment(q * scale, -shift), _augment_t(k), v, buf, out, total)
-    else:
-        # an element without a split is all heavy rows
-        for b, split in enumerate(splits):
-            order, heavy, chunks = split or (None, np.arange(q.shape[1]), ())
-            qb, kb, vb, ob, tb = q[b], k[b], v[b], out[b], total[b]
-            if heavy.size:  # else no [k, 1] copy of all keys is built
-                _row_sums(qb, scale, shift[b], heavy, _augment_t(kb), vb, None, buf, ob, tb)
-            # the chunks' cuts grow, and the far keys' moments with them by
-            # sums that add like the tiled loop's tile sums
-            moments, done = np.zeros((_far_width(c), v.shape[2] + 1)), 0
-            for rows, cut in chunks:
-                if cut > done:
-                    moments += _far_moments(kb, vb, order[done:cut], buf)
-                    done = cut
-                # the keys past the cut, gathered for this chunk alone so
-                # that no gathered copy is alive while moments are built
-                near = order[cut:]
-                kat, vn = _augment_t(kb[near]), vb[near]
-                _row_sums(qb, scale, shift[b], rows, kat, vn, moments, buf, ob, tb)
-                del kat, vn
+    for b, split in enumerate(splits):
+        qb, kb, vb, ob, tb = q[b], k[b], v[b], out[b], total[b]
+        if split is None:  # every row heavy: the tiled loop on the element's rows
+            _exact_sums(_augment(qb * scale, -shift[b]), _augment_t(kb), vb, buf, ob, tb)
+            continue
+        order, heavy, chunks = split
+        if heavy.size:  # else no [k, 1] copy of all keys is built
+            _row_sums(qb, scale, shift[b], heavy, _augment_t(kb), vb, None, buf, ob, tb)
+        # the chunks' cuts grow, and the far keys' moments with them by
+        # sums that add like the tiled loop's tile sums
+        moments, done = np.zeros((_far_width(c), v.shape[2] + 1)), 0
+        for rows, cut in chunks:
+            if cut > done:
+                moments += _far_moments(kb, vb, order[done:cut], buf)
+                done = cut
+            # the keys past the cut, gathered for this chunk alone so
+            # that no gathered copy is alive while moments are built
+            near = order[cut:]
+            kat, vn = _augment_t(kb[near]), vb[near]
+            _row_sums(qb, scale, shift[b], rows, kat, vn, moments, buf, ob, tb)
+            del kat, vn
     # "not >=" also takes a NaN total: the bound is inf * 0 when one
     # norm overflows and the other is zero
     for b, i in zip(*np.nonzero(~(total >= 1e-200))):
@@ -438,28 +436,24 @@ def _attention_grads(q, k, v, out, lse, g, scale):
     """``attention``'s backward on plain arrays: the gradients of q, k and
     v for the cotangent ``g`` of the output ``out``, with each tile's
     probabilities recomputed from the log-sum-exp ``lse``."""
-    bsz, nk = k.shape[:2]
+    nq, nk = q.shape[1], k.shape[1]
     delta = (g * out).sum(axis=-1, keepdims=True)
-    gq = np.zeros_like(q)
-    gk = np.zeros_like(k)
-    gv = np.zeros_like(v)
-    qa = _augment(q * scale, -lse)
-    kat = _augment_t(k)
-    ga = _augment(g, -delta)
-    vat = _augment_t(v)
-    rows, tk = _block_shape(bsz, q.shape[1], nk)
-    blocks = [slice(lo, lo + rows) for lo in range(0, q.shape[1], rows)]
+    gq, gk, gv = (np.zeros_like(a) for a in (q, k, v))
+    rows, tk = _block_shape(nq, nk)
+    blocks = [slice(lo, lo + rows) for lo in range(0, nq, rows)]
     tiles = [slice(lo, lo + tk) for lo in range(0, nk, tk)]
-    pbuf, dbuf = np.empty((2, bsz, rows, tk))
-    for blk in blocks:
-        ga_blk, g_blk, q_blk = ga[:, blk], g[:, blk], q[:, blk]
-        for tile in tiles:
-            p = _probs(qa[:, blk], kat[..., tile], pbuf)
-            gv[:, tile] += p.swapaxes(-1, -2) @ g_blk
-            ds = np.matmul(ga_blk, vat[..., tile], out=dbuf[:, : p.shape[1], : p.shape[2]])
-            ds *= p
-            gq[:, blk] += ds @ k[:, tile]
-            gk[:, tile] += ds.swapaxes(-1, -2) @ q_blk
+    pbuf, dbuf = np.empty((2, rows, tk))
+    for b in range(q.shape[0]):
+        qa, ga = _augment(q[b] * scale, -lse[b]), _augment(g[b], -delta[b])
+        kat, vat = _augment_t(k[b]), _augment_t(v[b])
+        for blk in blocks:
+            for tile in tiles:
+                p = _probs(qa[blk], kat[:, tile], pbuf)
+                gv[b, tile] += p.T @ g[b, blk]
+                ds = np.matmul(ga[blk], vat[:, tile], out=dbuf[: p.shape[0], : p.shape[1]])
+                ds *= p
+                gq[b, blk] += ds @ k[b, tile]
+                gk[b, tile] += ds.T @ q[b, blk]
     gq *= scale
     gk *= scale
     return gq, gk, gv

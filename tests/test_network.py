@@ -1,4 +1,6 @@
+import cProfile
 import hashlib
+import sys
 import weakref
 
 import numpy as np
@@ -299,3 +301,38 @@ def test_seed_streams_are_stable_and_distinct():
     a = np.random.default_rng(s1["init"]).integers(0, 2**32, 4)
     b = np.random.default_rng(s1["data"]).integers(0, 2**32, 4)
     assert not np.array_equal(a, b)
+
+
+def _desk_step_bytes(run):
+    """Output and parameter-gradient bytes of a desk train forward plus
+    backward on a fresh model, called through ``run(fn)``."""
+    cfg = desk_config()
+    params = build_model(cfg)
+    rng = np.random.default_rng(21)
+    lr = Tensor(rng.uniform(0, 255, (2, 1, 16, 16)))
+
+    def step():
+        out = model_forward(lr, params, cfg, ForwardMode(train=True))
+        (out * Tensor(rng.standard_normal(out.shape))).sum().backward()
+        return out
+
+    out = run(step)
+    grads = [t.grad.tobytes() for t in named_parameters(params).values() if t.grad is not None]
+    return [out.data.tobytes()] + grads
+
+
+def _under_settrace(fn):
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: None)
+    try:
+        return fn()
+    finally:
+        sys.settrace(previous)
+
+
+def test_desk_step_under_profile_and_trace_hooks_gives_the_untraced_bytes():
+    """A trace or profile hook holds each frame's locals, so conv2d's
+    in-place shrink of its tap-sum buffer must not count references."""
+    plain = _desk_step_bytes(lambda fn: fn())
+    assert _desk_step_bytes(cProfile.Profile().runcall) == plain
+    assert _desk_step_bytes(_under_settrace) == plain

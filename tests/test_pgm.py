@@ -42,6 +42,22 @@ def test_odd_maxval_rescales(tmp_path):
     assert img[0, 0] == pytest.approx(127.5, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "header, raster, at",
+    [
+        pytest.param(b"P5\n3 1\n100\n", bytes([50, 200, 255]), 12, id="8-bit"),
+        pytest.param(
+            b"P5\n3 1\n1000\n", np.array([5, 1000, 1001], ">u2").tobytes(), 16, id="16-bit"
+        ),
+    ],
+)
+def test_sample_above_maxval_names_its_byte_offset(tmp_path, header, raster, at):
+    p = tmp_path / "over.pgm"
+    p.write_bytes(header + raster)
+    with pytest.raises(ParseError, match=f"at byte {at} exceeds maxval"):
+        read_pgm(p)
+
+
 def test_writer_rounds_half_away_from_zero(tmp_path):
     p = tmp_path / "r.pgm"
     write_pgm(p, np.array([[254.5, 0.5, 1.49, -3.0]]))

@@ -202,7 +202,7 @@ def test_attention_matches_composite_chain(monkeypatch, rows, tile):
     tiles of 5 (the last one ragged), 1 or all keys."""
     bsz, n, d = 2, 37, 3
     monkeypatch.setattr(prompts, "_ATTN_KEY_TILE", tile)
-    monkeypatch.setattr(prompts, "_ATTN_BLOCK_ELEMS", rows * min(n, tile) * bsz)
+    monkeypatch.setattr(prompts, "_ATTN_BLOCK_ELEMS", rows * min(n, tile))
     rng = np.random.default_rng(6)
     qkv = [rng.standard_normal((bsz, n, d)) for _ in range(3)]
     w = rng.standard_normal((bsz, n, d))
@@ -334,8 +334,10 @@ def _tiled_loop(q, k, v, scale):
     shift = sq[..., None] * np.linalg.norm(k, axis=-1).max(axis=1)[:, None, None]
     out = np.empty(q.shape[:2] + v.shape[2:])
     total = np.empty(q.shape[:2])
-    qa, kat = prompts._augment(q * scale, -shift), prompts._augment_t(k)
-    prompts._exact_sums(qa, kat, v, np.empty(prompts._ATTN_BLOCK_ELEMS), out, total)
+    buf = np.empty(prompts._ATTN_BLOCK_ELEMS)
+    for b in range(q.shape[0]):
+        qa, kat = prompts._augment(q[b] * scale, -shift[b]), prompts._augment_t(k[b])
+        prompts._exact_sums(qa, kat, v[b], buf, out[b], total[b])
     return out / total[..., None], shift + np.log(total)[..., None]
 
 
@@ -402,7 +404,7 @@ def test_attention_split_chunks_light_rows_with_growing_cuts_within_the_bound():
     rows = np.concatenate([heavy] + [r for r, _ in chunks])
     assert np.array_equal(np.sort(rows), np.arange(n))
     for r, cut in chunks:
-        assert r.size <= prompts._block_shape(1, n, n)[0]
+        assert r.size <= prompts._block_shape(n, n)[0]
         # the certificate is the norm bound, not the score, which is smaller
         assert sq[r].max() * kn[order[:cut]].max() <= prompts._FAR_BOUND
     out, _ = _out_and_lse(q, k, v, scale)
@@ -432,24 +434,54 @@ def test_attention_runs_the_tiled_loop_when_no_split_pays(shape, size):
 
 
 def test_attention_splits_each_batch_element_on_its_own():
-    """Element 0 has small norms and splits, element 1 has unit norms and
-    does not: each comes out byte for byte as it does alone, element 1
-    as the tiled loop's and element 0 within 1e-13 * max|v| of it."""
+    """Each element's output, log-sum-exp and q, k and v gradients come
+    out byte for byte as they do alone, whatever the other elements are.
+    At (2, 1024, 8) element 0 has small norms and splits and element 1
+    has unit norms and does not; at the desk shape (4, 256, 32) none
+    splits. An element that does not split gives the tiled loop's
+    output, and one that splits is within 1e-13 * max|v| of it."""
     rng = np.random.default_rng(14)
-    n, c = 1024, 8
-    small, unit = _near_far_operands(rng, n, c), rng.standard_normal((3, 1, n, c))
-    q, k, v = (np.concatenate([a, b]) for a, b in zip(small, unit))
-    scale = 1.0 / np.sqrt(c)
-    cuts = _split_cuts(q, k, scale)
-    assert cuts[0] is not None and cuts[1] is None
-    out, lse = _out_and_lse(q, k, v, scale)
-    for b in range(2):
-        alone = _out_and_lse(q[b : b + 1], k[b : b + 1], v[b : b + 1], scale)
-        tiled = _tiled_loop(q[b : b + 1], k[b : b + 1], v[b : b + 1], scale)
-        assert out[b].tobytes() == alone[0][0].tobytes()
-        assert lse[b].tobytes() == alone[1][0].tobytes()
-        assert (out[b].tobytes() == tiled[0][0].tobytes()) == (b == 1)
-        assert np.abs(out[b] - tiled[0][0]).max() <= 1e-13 * np.abs(v[b]).max()
+    small, unit = _near_far_operands(rng, 1024, 8), rng.standard_normal((3, 1, 1024, 8))
+    cases = (
+        ([np.concatenate([a, b]) for a, b in zip(small, unit)], [True, False]),
+        (rng.standard_normal((3, 4, 256, 32)), [False] * 4),
+    )
+    for (q, k, v), cuts in cases:
+        w = rng.standard_normal(v.shape)
+        scale = 1.0 / np.sqrt(q.shape[-1])
+        assert [cut is not None for cut in _split_cuts(q, k, scale)] == cuts
+        out, lse = _out_and_lse(q, k, v, scale)
+        grads = _attention_chain((q, k, v), w, attention, scale)[1:]
+        for b, split in enumerate(cuts):
+            one = [a[b : b + 1] for a in (q, k, v)]
+            alone = _out_and_lse(*one, scale)
+            assert out[b].tobytes() == alone[0][0].tobytes()
+            assert lse[b].tobytes() == alone[1][0].tobytes()
+            for got, want in zip(grads, _attention_chain(one, w[b : b + 1], attention, scale)[1:]):
+                assert got[b].tobytes() == want[0].tobytes()
+            tiled = _tiled_loop(*one, scale)
+            assert (out[b].tobytes() == tiled[0][0].tobytes()) != split
+            assert np.abs(out[b] - tiled[0][0]).max() <= 1e-13 * np.abs(v[b]).max()
+
+
+def test_attention_score_blocks_do_not_shrink_with_the_batch(monkeypatch):
+    """(32, 256, 32): every score block of the forward and the vjp holds
+    all 256 query rows of one element, as at batch 1, against one key
+    tile, not 2**16 / (32 * 256) = 8 rows."""
+    rng = np.random.default_rng(17)
+    q, k, v = rng.standard_normal((3, 32, 256, 32))
+    shapes = []
+    probs = prompts._probs
+
+    def spy(qa_blk, kat_tile, buf):
+        e = probs(qa_blk, kat_tile, buf)
+        shapes.append(e.shape)
+        return e
+
+    monkeypatch.setattr(prompts, "_probs", spy)
+    _attention_chain((q, k, v), rng.standard_normal(v.shape), attention, 1.0 / np.sqrt(32))
+    # one block per element in the forward and one in the vjp
+    assert shapes == [(256, 256)] * 64
 
 
 def test_attention_split_stays_within_one_score_tile_and_the_augmented_operands(traced_peak):
