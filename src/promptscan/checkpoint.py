@@ -20,9 +20,11 @@ an infinity is rejected. The loaded parameters are not grad-tracked,
 so a forward on them records no tape. A save of the loaded model
 reproduces the original file byte for byte.
 
-A save writes a temporary file next to the target and renames it over
-the target, so a save that fails partway leaves the previous checkpoint
-intact.
+A save writes a temporary file next to the target, fsyncs it, renames
+it over the target and fsyncs the directory. A save that fails partway
+leaves the previous checkpoint intact, and after an OS crash the name
+points at either the old file or the whole new one, never at a partial
+write.
 """
 
 from __future__ import annotations
@@ -60,11 +62,23 @@ def save_checkpoint(path, params: ModelParams, cfg: ModelConfig) -> None:
     try:
         with open(tmp, "wb") as fh:
             fh.write(b"".join(out))
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+    _fsync_dir(os.path.dirname(os.path.abspath(path)))
+
+
+def _fsync_dir(path) -> None:
+    """Make a rename in directory ``path`` durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class _Reader:

@@ -47,8 +47,8 @@ def ifft2d_raw(a: np.ndarray) -> np.ndarray:
 
 
 def _complex(planes: np.ndarray) -> np.ndarray:
-    """Complex view of a (..., 2) real/imaginary plane array."""
-    planes = np.ascontiguousarray(planes)
+    """Complex view of a C-contiguous (..., 2) real/imaginary plane
+    array, as every cotangent is."""
     return planes.view(np.complex128)[..., 0]
 
 

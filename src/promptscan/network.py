@@ -359,6 +359,10 @@ def model_forward(
     the bicubic upsample exactly. The shallow features die once the long
     residual has added them, and each upsampling stage's input once its
     conv has run, so without a tape neither is alive in the stages after.
+
+    Raises DimensionError for an input that is not (B, 1, h, w), and
+    ContractError for extents below 8 or any non-finite input value,
+    which would otherwise spread to every output pixel.
     """
     lr = astensor(lr)
     if lr.ndim != 4 or lr.shape[1] != 1:
@@ -366,6 +370,9 @@ def model_forward(
     h, w = lr.shape[2], lr.shape[3]
     if h < 8 or w < 8:
         raise ContractError(f"input extents must be at least 8, got {h}x{w}")
+    bad = lr.size - np.count_nonzero(np.isfinite(lr.data))
+    if bad:
+        raise ContractError(f"input holds {bad} non-finite values of {lr.size}")
     cfg.validate()
 
     x01 = lr * (1.0 / 255.0)

@@ -56,6 +56,9 @@ def read_pgm(path):
         raise ParseError(f"{source}: non-positive extents {w}x{h}")
     if not 0 < maxval < 65536:
         raise ParseError(f"{source}: maxval {maxval} outside 1..65535")
+    sep = buf[off : off + 1]
+    if not sep.isspace():
+        raise ParseError(f"{source}: expected whitespace after maxval at byte {off}, got {sep!r}")
     off += 1  # the single whitespace byte after maxval
     wide = maxval > 255
     need = w * h * (2 if wide else 1)
@@ -76,12 +79,16 @@ def read_pgm(path):
 
 
 def write_pgm(path, img) -> None:
-    """Write an 8-bit P5 file; values rounded half away from zero, clamped."""
+    """Write an 8-bit P5 file; values rounded half away from zero, clamped.
+    A NaN or an infinity has no sample value and is a ContractError."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise DimensionError(f"PGM writer needs a 2-d image, got {img.shape}")
     if img.shape[0] < 1 or img.shape[1] < 1:
         raise ContractError("refusing to write an empty image")
+    bad = img.size - np.count_nonzero(np.isfinite(img))
+    if bad:
+        raise ContractError(f"refusing to write {bad} non-finite values as PGM samples")
     rounded = np.sign(img) * np.floor(np.abs(img) + 0.5)
     data = np.clip(rounded, 0.0, 255.0).astype(np.uint8)
     h, w = img.shape

@@ -61,15 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericalConsistencyError
-from .tensor import (
-    Tensor,
-    _memory_order,
-    _sigmoid,
-    _softplus,
-    _unbroadcast,
-    _zeros_in_order,
-    astensor,
-)
+from .tensor import Tensor, _sigmoid, _softplus, _unbroadcast, astensor
 
 
 def _linear_scan(a, u):
@@ -189,9 +181,8 @@ def zoh_decay(x_in, c: int, a_log) -> Tensor:
     keeps anyway; the vjp forms the timescale and its sigmoid again from
     the slice. Untracked, the slice is read as a view. Every value and
     gradient is the one the chain index, softplus, exp, neg, mul, exp
-    gives: the x_in gradient is laid out as the index node's, and the
-    a_log gradient is -sum(g * a * timescale) * exp(a_log), summed over
-    the leading axes.
+    gives: the a_log gradient is -sum(g * a * timescale) * exp(a_log),
+    summed over the leading axes.
     """
     x_in, a_log = astensor(x_in), astensor(a_log)
     raw = x_in.data[..., :c]
@@ -202,11 +193,11 @@ def zoh_decay(x_in, c: int, a_log) -> Tensor:
     a = _softplus(raw)
     a *= na
     np.exp(a, out=a)
-    shape, order = x_in.shape, _memory_order(x_in.data)
+    shape = x_in.shape
 
     def vjp(g):
         g = g * a
-        gx = _zeros_in_order(shape, order)
+        gx = np.zeros(shape)
         gx[..., :c] = g * na * _sigmoid(raw)
         return gx, -_unbroadcast(g * _softplus(raw), na.shape) * ea
 

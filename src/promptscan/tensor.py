@@ -15,8 +15,12 @@ leaves. A tape is reachable only from its result, and the constant
 record has no state to change, so independent forward passes never
 share state and are safe to run concurrently.
 
-Summation order is fixed (row-major numpy reductions) so results are
-deterministic and directly comparable against naive-loop oracles.
+Every vjp receives its cotangent in C order: the tape walk copies one
+that is not C-contiguous before the vjp runs. So each reduction in a
+vjp sums in one logical, row-major order whatever layout the vjp
+upstream chose, results are deterministic and directly comparable
+against naive-loop oracles, and no vjp needs to mimic the layout a
+composite chain would hand on.
 """
 
 from __future__ import annotations
@@ -139,9 +143,12 @@ class Tensor:
         """Reverse sweep from this scalar; accumulates ``.grad`` on tracked leaves.
 
         The walk visits records and leaf tensors, never an intermediate's
-        value; gradients are keyed by record. Each record drops its
-        parents and its vjp, and with them the arrays the vjp saved, as
-        soon as it has run: one backward per forward.
+        value; gradients are keyed by record. A vjp receives its cotangent
+        in C order, copied first when it is not C-contiguous, so its sums
+        do not depend on the layout of the gradients it was accumulated
+        from. Each record drops its parents and its vjp, and with them the
+        arrays the vjp saved, as soon as it has run: one backward per
+        forward.
         """
         if self.size != 1:
             raise ContractError(
@@ -173,6 +180,8 @@ class Tensor:
                 if node.requires_grad:
                     node.grad = g if node.grad is None else node.grad + g
             elif node._vjp is not None:  # else freed by an earlier backward
+                # not np.ascontiguousarray, which makes the 0-d seed 1-d
+                g = g if g.flags.c_contiguous else g.copy()
                 parent_grads = node._vjp(g)
                 for p, pg in zip(node._parents, parent_grads):
                     if pg is None or not p.requires_grad:
@@ -237,12 +246,7 @@ def astensor(x) -> Tensor:
 
 
 def _unbroadcast(g, shape):
-    """Reduce gradient ``g`` back to ``shape`` after numpy broadcasting.
-
-    The sums run in ``g``'s memory order, so a vjp upstream that hands
-    over the same values in another layout changes the rounding of the
-    reduced gradient, and with it the replay bytes.
-    """
+    """Reduce gradient ``g`` back to ``shape`` after numpy broadcasting."""
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
@@ -499,39 +503,17 @@ def transpose(a, axes) -> Tensor:
     )
 
 
-def _memory_order(a):
-    """The axis order, outermost first, in which ``np.zeros_like(a)`` lays
-    out its result; None for C order."""
-    if a.flags.c_contiguous:
-        return None
-    if a.flags.f_contiguous:
-        return tuple(reversed(range(a.ndim)))
-    return tuple(np.argsort([-abs(s) for s in a.strides], kind="stable"))
-
-
-def _zeros_in_order(shape, order):
-    """Zeros of ``shape`` laid out in the axis ``order`` that
-    ``_memory_order`` gave, so a vjp lays out a gradient as
-    ``np.zeros_like`` of its input would without keeping that input."""
-    if order is None:
-        return np.zeros(shape)
-    return np.zeros([shape[i] for i in order]).transpose(np.argsort(order))
-
-
 def index(a, key) -> Tensor:
     """Basic indexing (ints/slices); gradient scatters back into place.
-
-    The node keeps the input's shape and memory order, not its array:
-    the gradient is laid out as ``np.zeros_like`` of the input would be.
-    """
+    The node keeps the input's shape, not its array."""
     a = astensor(a)
     out = a.data[key]
     if np.isscalar(out) or out.ndim == 0:
         out = np.asarray(out)
-    shape, order = a.shape, _memory_order(a.data)
+    shape = a.shape
 
     def vjp(g):
-        ga = _zeros_in_order(shape, order)
+        ga = np.zeros(shape)
         ga[key] = g
         return (ga,)
 
@@ -804,8 +786,8 @@ def conv2d(x, k, pad: int, bias=None) -> Tensor:
     place to the crop, and the bias is added there in place, so the
     forward allocates no second output-sized array and the output is a
     compact channels-last array, as a copy of the crop would be. The
-    bias gradient sums the cotangent over batch and pixels in the
-    cotangent's own memory order, as a broadcast add's would.
+    bias gradient sums the cotangent over batch and pixels, as a
+    broadcast add's would.
     """
     x, k = astensor(x), astensor(k)
     bias = None if bias is None else astensor(bias)
@@ -911,10 +893,7 @@ def _shuffle_fwd(d, r):
 
 
 def _unshuffle_fwd(d, r):
-    """The inverse rearrangement, as a C-contiguous NCHW array. The
-    pixel_shuffle vjp keeps this layout: the conv that feeds a shuffle
-    sums its bias gradient in the cotangent's memory order, and a
-    channels-last cotangent would round that sum differently."""
+    """The inverse rearrangement, as a C-contiguous NCHW array."""
     b, c, hr, wr = d.shape
     h, w = hr // r, wr // r
     return (

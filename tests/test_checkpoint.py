@@ -1,3 +1,5 @@
+import os
+import stat
 import struct
 
 import numpy as np
@@ -230,3 +232,29 @@ def test_erf_on_loaded_parameters_matches_and_fills_no_parameter_grad(tmp_path):
     got = erf_map(loaded, cfg, img)
     assert got.tobytes() == want.tobytes()
     assert all(t.grad is None for t in named_parameters(loaded).values())
+
+
+def test_save_fsyncs_the_temp_file_then_renames_then_fsyncs_the_directory(
+    tmp_path, monkeypatch
+):
+    params, cfg = _tiny_model(seed=4)
+    path = tmp_path / "m.bin"
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        calls.append(("fsync dir",) if stat.S_ISDIR(st.st_mode) else ("fsync file", st.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", os.path.getsize(src), os.fspath(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    save_checkpoint(path, params, cfg)
+    size = path.stat().st_size
+    # the temp file is whole on disk before the rename makes it the checkpoint
+    assert calls == [("fsync file", size), ("replace", size, str(path)), ("fsync dir",)]
+    assert os.listdir(tmp_path) == ["m.bin"]

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from promptscan import tensor
 from promptscan.errors import ConfigError, ContractError, DimensionError
 from promptscan.network import (
     ForwardMode,
@@ -264,6 +265,17 @@ def test_model_input_contracts():
         model_forward(Tensor(np.zeros((1, 1, 4, 4))), params, cfg)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_model_input_is_a_contract_error_naming_the_count(value):
+    # one bad pixel would make every output pixel non-finite
+    cfg = desk_config(**TINY)
+    params = build_model(cfg)
+    lr = np.full((2, 1, 16, 16), 100.0)
+    lr[0, 0, 3, 5] = lr[1, 0, 15, 0] = value
+    with pytest.raises(ContractError, match="2 non-finite values of 512"):
+        model_forward(Tensor(lr), params, cfg)
+
+
 def test_config_validation_messages_name_fields():
     with pytest.raises(ConfigError, match="scale"):
         ModelConfig(scale=3).validate()
@@ -328,6 +340,20 @@ def _under_settrace(fn):
         return fn()
     finally:
         sys.settrace(previous)
+
+
+def test_desk_step_gradients_do_not_depend_on_a_vjp_s_output_layout(monkeypatch):
+    """The tape walk hands each vjp a C-order cotangent, so a pixel_shuffle
+    vjp that returns the same values channels-last changes no byte of the
+    up convs' gradients, whose bias gradient sums that cotangent."""
+    plain = _desk_step_bytes(lambda fn: fn())
+    unshuffle = tensor._unshuffle_fwd
+
+    def channels_last(d, r):
+        return np.ascontiguousarray(unshuffle(d, r).transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+    monkeypatch.setattr(tensor, "_unshuffle_fwd", channels_last)
+    assert _desk_step_bytes(lambda fn: fn()) == plain
 
 
 def test_desk_step_under_profile_and_trace_hooks_gives_the_untraced_bytes():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from promptscan.errors import DimensionError, ParseError
+from promptscan.errors import ContractError, DimensionError, ParseError
 from promptscan.pgm import read_pgm, write_pgm
 
 
@@ -80,6 +80,15 @@ def test_header_comments_and_whitespace(tmp_path):
     assert meta == {"width": 2, "height": 1, "maxval": 255}
 
 
+def test_comment_right_after_maxval_names_its_byte_offset(tmp_path):
+    # the one byte after maxval must be whitespace, so a comment there
+    # is not read as samples
+    p = tmp_path / "c.pgm"
+    p.write_bytes(b"P5\n2 2\n255#x\n" + bytes([1, 2, 3, 4]))
+    with pytest.raises(ParseError, match="whitespace after maxval at byte 10"):
+        read_pgm(p)
+
+
 def test_bad_magic(tmp_path):
     p = tmp_path / "b.pgm"
     p.write_bytes(b"P2\n1 1\n255\n0")
@@ -128,3 +137,11 @@ def test_zero_extent_rejected(tmp_path):
 def test_writer_rejects_non_2d():
     with pytest.raises(DimensionError, match="2-d"):
         write_pgm("/tmp/x.pgm", np.zeros((1, 2, 2)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_writer_rejects_non_finite_values(tmp_path, value):
+    p = tmp_path / "f.pgm"
+    with pytest.raises(ContractError, match="1 non-finite value"):
+        write_pgm(p, np.array([[1.0, value, 3.0]]))
+    assert not p.exists()
