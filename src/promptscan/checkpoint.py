@@ -100,6 +100,13 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, n: int, what: str) -> str:
+        at = self.off
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"{self.source}: {what} at byte {at} is not UTF-8") from None
+
 
 def load_checkpoint(path):
     """Returns (ModelParams, ModelConfig) reconstructed from the file.
@@ -110,8 +117,8 @@ def load_checkpoint(path):
     Code that resumes training from a checkpoint sets ``requires_grad``
     back to True on the tensors its optimizer updates.
 
-    Raises ParseError on a malformed file, including a blob with a NaN
-    or an infinity, naming the parameter and its byte offset.
+    Raises ParseError on a malformed file, naming the byte offset of a
+    NaN or infinity in a blob (and its parameter) or of non-UTF-8 text.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -122,7 +129,7 @@ def load_checkpoint(path):
     if version != VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {version}")
     (cfg_len,) = r.unpack("<I")
-    cfg = parse_model_config(r.take(cfg_len).decode("utf-8"), source=str(path))
+    cfg = parse_model_config(r.text(cfg_len, "config text"), source=str(path))
     (count,) = r.unpack("<I")
 
     params = build_model(cfg)
@@ -134,7 +141,7 @@ def load_checkpoint(path):
     seen = set()
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        name = r.text(name_len, "parameter name")
         if name not in named:
             raise ParseError(f"{path}: unknown parameter {name!r}")
         if name in seen:

@@ -324,10 +324,10 @@ def _mk_layer_norm_linear(rng, _i):
 
 def _mk_conv2d(rng, i):
     ksize = (1, 3, 5)[i % 3]
-    x = _leaf(rng, (2, 3, 6, 7))
+    x = _leaf(rng, (2, 6, 7, 3))
     k = _leaf(rng, (4, 3, ksize, ksize), -0.5, 0.5)
     b = _leaf(rng, (4,))
-    w = _w(rng, (2, 4, 6, 7))
+    w = _w(rng, (2, 6, 7, 4))
 
     def forward():
         return _wsum(conv2d(x, k, (ksize - 1) // 2, b), w)
@@ -336,8 +336,8 @@ def _mk_conv2d(rng, i):
 
 
 def _mk_shuffle(rng, _i):
-    x = _leaf(rng, (2, 8, 3, 4))
-    w = _w(rng, (2, 2, 6, 8))
+    x = _leaf(rng, (2, 3, 4, 8))
+    w = _w(rng, (2, 6, 8, 2))
 
     def forward():
         return _wsum(pixel_shuffle(x, 2), w)

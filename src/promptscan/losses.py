@@ -94,22 +94,23 @@ def thermal_mask(hr, gate_k: Tensor, gate_b: Tensor, extractor: FeatureExtractor
     """Sigmoid saliency map of the ground truth, upsampled to full size.
 
     Differentiable only in the gate parameters; the extractor features
-    are constants and ``hr`` is treated as data.
+    are constants and ``hr`` is data, read as a (B, H, W, 1) map.
     """
     hr = astensor(hr)
     if hr.ndim != 4 or hr.shape[1] != 1:
         raise DimensionError(f"mask input must be (B, 1, H, W), got {tuple(hr.shape)}")
-    h, w = hr.shape[2], hr.shape[3]
+    bsz, _, h, w = hr.shape
     red = extractor.reduction
     if h < red or w < red:
         raise ContractError(
             f"image {h}x{w} too small for a {red}x feature reduction"
         )
-    feat = Tensor(hr.data * (1.0 / 255.0))
+    feat = Tensor(hr.data.reshape(bsz, h, w, 1) * (1.0 / 255.0))
     for k, b in zip(extractor.kernels, extractor.biases):
         feat = relu(conv2d(feat, k, 1, b))
-        feat = feat[:, :, ::2, ::2]
+        feat = feat[:, ::2, ::2]
     gate = conv2d(feat, gate_k, 0, gate_b)
+    gate = gate.reshape(bsz, 1, *gate.shape[1:3])
     m = resample(sigmoid(gate), h, w, kind="linear", antialias=False)
     return ThermalMask(m=m, source=extractor.source)
 

@@ -36,7 +36,6 @@ from .tensor import (
     linear_silu_linear,
     pixel_shuffle,
     reshape,
-    transpose,
 )
 
 
@@ -149,9 +148,9 @@ def _only_if(read: bool, value):
 def build_model(cfg: ModelConfig) -> ModelParams:
     """Allocate and seed the parameters the config reads. Draw order is fixed.
 
-    The prompt weights are drawn whether or not the config reads them and
-    then dropped, so a kept tensor has the same values under either
-    ``prompts`` setting with the same seed.
+    The prompt weights and the T logit columns of ``w_in`` are drawn
+    whether or not the config reads them and then dropped, so a kept
+    value is the same under either ``prompts`` setting with one seed.
     """
     cfg.validate()
     streams = seed_streams(cfg.seed)
@@ -167,13 +166,15 @@ def build_model(cfg: ModelConfig) -> ModelParams:
             pool_seed = int(route_rng.integers(0, 2**32))
             w_mlp = _uniform(rng, (c, c), c)
             w_in = _uniform(rng, (c, 3 * c + t), c)
+            if not fused:  # the T logit columns feed only the router
+                w_in = Tensor(w_in.data[:, : 3 * c].copy(), requires_grad=True)
             rng.random(2 * c * c + c * t)  # a fixed gap: later weights keep their seeded values
             modules.append(
                 SsmModuleParams(
                     w_mlp=w_mlp,
                     b_mlp=_zeros(c),
                     w_in=w_in,
-                    b_in=_zeros(3 * c + t),
+                    b_in=_zeros(w_in.shape[1]),
                     a_log=Tensor(np.full(c, stable_a_log_init(0.9)), requires_grad=True),
                     pool=_only_if(
                         fused,
@@ -289,10 +290,10 @@ def asf_ssm_forward(
 
     p_global = global_prompt(x, h, w, mp.attn) if fused else None
     x_in = linear_silu_linear(x, mp.w_mlp, mp.b_mlp, mp.w_in, mp.b_in)
-    if x_in.shape[-1] != 3 * c + cfg.pool_size:
+    width, what = (3 * c + cfg.pool_size, "3C+T") if fused else (3 * c, "3C")
+    if x_in.shape[-1] != width:
         raise DimensionError(
-            f"packed projection has {x_in.shape[-1]} channels, "
-            f"expected 3C+T = {3 * c + cfg.pool_size}"
+            f"packed projection has {x_in.shape[-1]} channels, expected {what} = {width}"
         )
     if trace is not None:
         trace["x_in"] = x_in.data.copy()
@@ -334,16 +335,15 @@ def asf_ssb_forward(
     cfg: ModelConfig,
     mode: ForwardMode | None = None,
 ) -> Tensor:
-    """Residual block over a (B, C, H, W) feature map: Y = X + F(X)."""
+    """Residual block over a (B, H, W, C) map whose pixels are the tokens: Y = X + F(X)."""
     x = astensor(x)
     if x.ndim != 4:
-        raise DimensionError(f"block input must be (B, C, H, W), got {tuple(x.shape)}")
-    bsz, c, hh, ww = x.shape
-    tokens = reshape(transpose(x, (0, 2, 3, 1)), (bsz, hh * ww, c))
+        raise DimensionError(f"block input must be (B, H, W, C), got {tuple(x.shape)}")
+    bsz, hh, ww, c = x.shape
+    tokens = reshape(x, (bsz, hh * ww, c))
     for m in bp.modules:
         tokens = asf_ssm_forward(tokens, m, cfg, hh, ww, mode=mode)
-    back = transpose(reshape(tokens, (bsz, hh, ww, c)), (0, 3, 1, 2))
-    return x + back
+    return x + reshape(tokens, x.shape)
 
 
 def model_forward(
@@ -367,7 +367,7 @@ def model_forward(
     lr = astensor(lr)
     if lr.ndim != 4 or lr.shape[1] != 1:
         raise DimensionError(f"expected (B, 1, h, w) input, got {tuple(lr.shape)}")
-    h, w = lr.shape[2], lr.shape[3]
+    bsz, _, h, w = lr.shape
     if h < 8 or w < 8:
         raise ContractError(f"input extents must be at least 8, got {h}x{w}")
     bad = lr.size - np.count_nonzero(np.isfinite(lr.data))
@@ -375,7 +375,7 @@ def model_forward(
         raise ContractError(f"input holds {bad} non-finite values of {lr.size}")
     cfg.validate()
 
-    x01 = lr * (1.0 / 255.0)
+    x01 = reshape(lr, (bsz, h, w, 1)) * (1.0 / 255.0)
     s0 = _conv(x01, params.shallow_k, params.shallow_b)
     feat = s0
     for bp in params.blocks:
@@ -387,7 +387,7 @@ def model_forward(
         feat = pixel_shuffle(feat, 2)
     deep = _conv(feat, params.final_k, params.final_b)
     skip = resample(lr, h * cfg.scale, w * cfg.scale, kind="cubic", antialias=False)
-    return skip + deep * 255.0
+    return skip + reshape(deep, skip.shape) * 255.0
 
 
 def desk_config(**overrides) -> ModelConfig:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
 from .fft import grid_half_spectrum, spectral_features_grad, unfold_features
-from .tensor import Tensor, _unbroadcast, astensor, softmax
+from .tensor import Tensor, _unbroadcast, astensor
 
 # keys per attention tile, and score elements per (query block x key
 # tile) of one batch element: 2**16 float64 values, 512 KiB, so that a
@@ -73,11 +73,6 @@ def gumbel_noise(shape, rng: np.random.Generator) -> np.ndarray:
     return -np.log(-np.log(u + 1e-20) + 1e-20)
 
 
-def _straight_through(soft: Tensor, hard_value: np.ndarray) -> Tensor:
-    """Forward the hard value while routing gradients to the soft path."""
-    return Tensor._from_op(hard_value, (soft,), lambda g: (g,))
-
-
 def route_tokens(
     logits: Tensor,
     pool: PromptPool,
@@ -91,9 +86,10 @@ def route_tokens(
     Training draws Gumbel noise from the pool's seeded stream, softens
     with temperature tau, then substitutes the one-hot argmax on the
     forward pass only (straight-through). Inference skips the noise and
-    takes the plain argmax. ``route_mode="soft"`` skips the hard
-    substitution and returns the relaxation itself; gradient checks use
-    it because finite differences cannot see through the substitution.
+    takes the plain argmax. ``route_mode="soft"`` returns the relaxation
+    itself; gradient checks use it because finite differences cannot see
+    through the substitution. All of it is one node, whose vjp is the
+    softmax's times 1/tau in either mode.
     """
     logits = astensor(logits)
     if pool.temperature <= 0:
@@ -104,19 +100,21 @@ def route_tokens(
         raise DimensionError(
             f"routing logits {tuple(logits.shape)} do not match pool size {pool.size}"
         )
-    if train_mode:
-        if noise is None:
-            noise = gumbel_noise(logits.shape, pool.rng)
-        pre = (logits + Tensor(noise)) * (1.0 / pool.temperature)
-    else:
-        pre = logits * (1.0 / pool.temperature)
-    soft = softmax(pre, axis=-1)
-    if route_mode == "soft":
-        return soft
-    keys = np.argmax(soft.data, axis=-1)
-    hard = np.zeros_like(soft.data)
-    np.put_along_axis(hard, keys[..., None], 1.0, axis=-1)
-    return _straight_through(soft, hard)
+    inv_tau = 1.0 / pool.temperature
+    if train_mode and noise is None:
+        noise = gumbel_noise(logits.shape, pool.rng)
+    pre = (logits.data + noise if train_mode else logits.data) * inv_tau
+    e = np.exp(pre - pre.max(axis=-1, keepdims=True))
+    soft = e / e.sum(axis=-1, keepdims=True)
+    out = soft
+    if route_mode == "hard":
+        out = np.zeros_like(soft)
+        np.put_along_axis(out, np.argmax(soft, axis=-1)[..., None], 1.0, axis=-1)
+
+    def vjp(g):
+        return (soft * (g - (g * soft).sum(axis=-1, keepdims=True)) * inv_tau,)
+
+    return Tensor._from_op(out, (logits,), vjp)
 
 
 def _augment(x: np.ndarray, col) -> np.ndarray:

@@ -724,8 +724,8 @@ _TAP_BLOCK_ELEMS = 1 << 16
 def _tap_sum(frame, kern, pitch: int, rows: int, out):
     """Sum over taps (u, v) of frame[n + u*pitch + v] @ kern[u, v], n < rows*kw.
 
-    ``frame`` is a channels-last (pixels, C) image, row-major with row
-    pitch ``pitch``; ``kern`` is (kh, kw*C, O) with the C weights of tap
+    ``frame`` is an NHWC (pixels, C) image, row-major with row pitch
+    ``pitch``; ``kern`` is (kh, kw*C, O) with the C weights of tap
     (u, v) at rows v*C .. v*C+C-1 of ``kern[u]``. Writes the sums into
     ``out``, a C-contiguous (rows*kw, O) array, and returns it.
 
@@ -759,14 +759,14 @@ def _tap_sum(frame, kern, pitch: int, rows: int, out):
 
 
 def conv2d(x, k, pad: int, bias=None) -> Tensor:
-    """Cross-correlation of NCHW input with OIHW kernel, zero padding,
-    plus a per-output-channel ``bias`` when one is given.
+    """Cross-correlation of a (B, H, W, Cin) map with an OIHW kernel, zero
+    padding and an optional per-channel ``bias``, to (B, Ho, Wo, Cout).
 
     Odd kernels only; ``pad=(kh-1)//2`` keeps the spatial size. ``pad``
     may not exceed either kernel extent minus one, so each image's
     outputs fit inside its block of the frame below.
 
-    The input is laid out once as a channels-last frame: the batch is
+    The input is laid out once as a frame of its NHWC pixels: the batch is
     folded into one flat pixel axis, and each image sits in an
     (H+pad) x (W+pad) block behind ``pad`` zero rows and columns.
     Those zeros are also the bottom and right padding of the block
@@ -795,7 +795,7 @@ def conv2d(x, k, pad: int, bias=None) -> Tensor:
         raise DimensionError(
             f"conv2d expects 4-d input and kernel, got {tuple(x.shape)} and {tuple(k.shape)}"
         )
-    b, cin, h, w = x.shape
+    b, h, w, cin = x.shape
     cout, kin, kh, kw = k.shape
     if kin != cin:
         raise DimensionError(
@@ -821,7 +821,7 @@ def conv2d(x, k, pad: int, bias=None) -> Tensor:
     # an untracked forward, so that the frame leaves no hole beneath it
     sums = np.empty((rows * kw, cout))
     frame = np.zeros((reach + rows * kw, cin))
-    frame[:n].reshape(b, bh, pitch, cin)[:, pad:, pad:] = x.data.transpose(0, 2, 3, 1)
+    frame[:n].reshape(b, bh, pitch, cin)[:, pad:, pad:] = x.data
     kd, biased = k.data, bias is not None
     want_x, want_k = x.requires_grad, k.requires_grad
     kern = kd.transpose(2, 3, 1, 0).reshape(kh, kw * cin, cout)
@@ -836,7 +836,7 @@ def conv2d(x, k, pad: int, bias=None) -> Tensor:
     def vjp(g):
         gframe = np.zeros((reach + rows * kw, cout))
         gout = gframe[reach : reach + n]
-        gout.reshape(b, bh, pitch, cout)[:, :ho, :wo] = g.transpose(0, 2, 3, 1)
+        gout.reshape(b, bh, pitch, cout)[:, :ho, :wo] = g
         gx = gk = None
         if want_k:
             taps = np.empty((kh, kw, cin, cout))
@@ -852,19 +852,18 @@ def conv2d(x, k, pad: int, bias=None) -> Tensor:
                 np.empty((rows * kw, cin)),
             )
             gx = gfull[:n].reshape(b, bh, pitch, cin)[:, pad:, pad:]
-            gx = gx.transpose(0, 3, 1, 2)
         if not biased:
             return (gx, gk)
-        return (gx, gk, g.sum(axis=(0, 2, 3)))
+        return (gx, gk, g.sum(axis=(0, 1, 2)))
 
     parents = (x, k) if bias is None else (x, k, bias)
-    return Tensor._from_op(out.transpose(0, 3, 1, 2), parents, vjp)
+    return Tensor._from_op(out, parents, vjp)
 
 
 def _crop_to_front(sums, b, bh, pitch, ho, wo):
     """Move the (b, ho, wo, C) crop of each image's (bh, pitch) block of
-    the pixel rows ``sums`` to the front of ``sums``, compact and
-    channels-last.
+    the pixel rows ``sums`` to the front of ``sums``, as a compact NHWC
+    map.
 
     Row r of image i goes from pixel (i*bh + r)*pitch to (i*ho + r)*wo,
     never past its source, so rows moved in order overwrite only rows
@@ -883,35 +882,29 @@ def _crop_to_front(sums, b, bh, pitch, ho, wo):
 
 
 def _shuffle_fwd(d, r):
-    """(B, C*r^2, H, W) -> (B, C, rH, rW), copied once into a channels-last
-    array: each output pixel's C values come from one input pixel's C*r^2."""
-    b, crr, h, w = d.shape
+    """(B, H, W, C*r^2) -> (B, rH, rW, C), copied once: input channel
+    c*r^2 + i*r + j of pixel (h, w) goes to sub-pixel (h*r + i, w*r + j)."""
+    b, h, w, crr = d.shape
     c = crr // (r * r)
-    out = np.empty((b, h, r, w, r, c))
-    out[...] = d.reshape(b, c, r, r, h, w).transpose(0, 4, 2, 5, 3, 1)
-    return out.reshape(b, h * r, w * r, c).transpose(0, 3, 1, 2)
+    return d.reshape(b, h, w, c, r, r).transpose(0, 1, 4, 2, 5, 3).reshape(b, h * r, w * r, c)
 
 
 def _unshuffle_fwd(d, r):
-    """The inverse rearrangement, as a C-contiguous NCHW array."""
-    b, c, hr, wr = d.shape
+    """The inverse rearrangement, as a C-contiguous (B, H, W, C*r^2) array."""
+    b, hr, wr, c = d.shape
     h, w = hr // r, wr // r
-    return (
-        d.reshape(b, c, h, r, w, r)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(b, c * r * r, h, w)
-    )
+    return d.reshape(b, h, r, w, r, c).transpose(0, 1, 3, 5, 2, 4).reshape(b, h, w, c * r * r)
 
 
 def pixel_shuffle(x, r: int) -> Tensor:
-    """Sub-pixel rearrangement: (B, C*r^2, H, W) -> (B, C, rH, rW), with a
-    channels-last output."""
+    """Sub-pixel rearrangement of an NHWC map: (B, H, W, C*r^2) ->
+    (B, rH, rW, C), in :func:`_shuffle_fwd`'s channel order."""
     x = astensor(x)
     if x.ndim != 4:
         raise DimensionError(f"pixel_shuffle expects 4-d input, got {tuple(x.shape)}")
-    if x.shape[1] % (r * r) != 0:
+    if x.shape[3] % (r * r) != 0:
         raise DimensionError(
-            f"pixel_shuffle channels {x.shape[1]} not divisible by r^2={r * r}"
+            f"pixel_shuffle channels {x.shape[3]} not divisible by r^2={r * r}"
         )
     return Tensor._from_op(
         _shuffle_fwd(x.data, r), (x,), lambda g: (_unshuffle_fwd(g, r),)

@@ -7,7 +7,7 @@ import pytest
 
 from promptscan import checkpoint
 from promptscan.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from promptscan.errors import ParseError
+from promptscan.errors import DimensionError, ParseError
 from promptscan.network import (
     ForwardMode,
     build_model,
@@ -182,6 +182,33 @@ def test_non_finite_blob_is_a_parse_error_naming_the_parameter(tmp_path):
     raw[at : at + 8] = struct.pack("<d", float("nan"))
     path.write_bytes(bytes(raw))
     with pytest.raises(ParseError, match=rf"'final\.b'.*non-finite.*byte {at}\b"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("what", ["config text", "parameter name"])
+def test_text_that_is_not_utf8_is_a_parse_error_naming_where_it_starts(tmp_path, what):
+    params, cfg = _tiny_model(seed=6)
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, params, cfg)
+    raw = bytearray(path.read_bytes())
+    start = len(MAGIC) + 8 if what == "config text" else raw.index(b"final.b")
+    raw[start + 2] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParseError, match=rf"{what} at byte {start} is not UTF-8"):
+        load_checkpoint(path)
+
+
+def test_promptless_checkpoint_with_routing_logit_columns_is_a_dimension_error(tmp_path):
+    """A prompts=off checkpoint saved while the packed projection still
+    held its T routing-logit columns no longer loads."""
+    cfg = desk_config(seed=2, prompts="off", **TINY)
+    params = build_model(cfg)
+    width = 3 * cfg.channels + cfg.pool_size
+    mod = params.blocks[0].modules[0]
+    mod.w_in, mod.b_in = Tensor(np.zeros((cfg.channels, width))), Tensor(np.zeros(width))
+    path = tmp_path / "old.bin"
+    save_checkpoint(path, params, cfg)
+    with pytest.raises(DimensionError, match=r"'block0\.mod0\.b_in' has shape \(14,\)"):
         load_checkpoint(path)
 
 

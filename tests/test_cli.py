@@ -97,6 +97,19 @@ def test_eval_missing_checkpoint_is_runtime_error(tmp_path, dataset):
     assert "error:" in err
 
 
+def test_eval_of_a_checkpoint_with_non_utf8_config_text_is_runtime_error(
+    tmp_path, dataset, tiny_cfg
+):
+    out, _ = _train(tmp_path, dataset, tiny_cfg)
+    ckpt = out / "checkpoint.bin"
+    raw = bytearray(ckpt.read_bytes())
+    raw[16] = 0xFF  # the first byte of the config text
+    ckpt.write_bytes(bytes(raw))
+    rc, _, err = _run(["eval", "--ckpt", str(ckpt), "--data", str(dataset)])
+    assert rc == 1
+    assert err.startswith("error:") and "config text at byte 16 is not UTF-8" in err
+
+
 def test_eval_non_finite_output_is_runtime_error(tmp_path, dataset, monkeypatch):
     from promptscan import training
     from promptscan.checkpoint import save_checkpoint

@@ -26,6 +26,11 @@ from promptscan.tensor import Tensor, conv2d, linear_silu_linear, pixel_shuffle
 TINY = dict(channels=4, blocks=1, modules_per_block=1, pool_size=2, scale=2)
 
 
+def _nhwc(a):
+    """An NCHW array as the C-contiguous (B, H, W, C) map a block takes."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
 def test_zeroed_head_reduces_model_to_bicubic_exactly():
     # output = bicubic skip + 255 * deep(x); killing the head isolates the skip
     cfg = desk_config(**TINY)
@@ -83,6 +88,23 @@ def test_default_config_holds_only_the_weights_it_reads():
     assert sum(t.size for t in named.values()) == 85_778
 
 
+def test_promptless_model_drops_the_routing_logit_columns():
+    """With prompts off the packed projection is 3C wide, since only the
+    router reads its T logit columns: 264 values fewer per desk module.
+    Every value kept is the fused model's for the same seed."""
+    fused = named_parameters(build_model(desk_config(seed=5)))
+    off = named_parameters(build_model(desk_config(seed=5, prompts="off")))
+    c, t = 32, 8
+    dropped = sum(fused[name].size - p.size for name, p in off.items())
+    assert dropped == 4 * (c * t + t) == 4 * 264
+    for name, p in off.items():
+        want = fused[name].data
+        if name.endswith((".w_in", ".b_in")):
+            want = want[..., : 3 * c]
+        assert p.shape == want.shape
+        np.testing.assert_array_equal(p.data, want)
+
+
 @pytest.mark.parametrize("prompts", ["fused", "off"])
 def test_every_parameter_but_the_mask_gate_gets_a_gradient(prompts):
     cfg = desk_config(**TINY, prompts=prompts)
@@ -118,7 +140,7 @@ def test_module_with_zero_head_makes_block_an_identity():
     for mod in params.blocks[0].modules:
         mod.w_out.data[:] = 0.0
         mod.b_out.data[:] = 0.0
-    x = Tensor(np.random.default_rng(1).standard_normal((1, cfg.channels, 6, 6)))
+    x = Tensor(_nhwc(np.random.default_rng(1).standard_normal((1, cfg.channels, 6, 6))))
     out = asf_ssb_forward(x, params.blocks[0], cfg, ForwardMode())
     np.testing.assert_array_equal(out.data, x.data)
 
@@ -127,7 +149,7 @@ def test_block_residual_is_additive():
     cfg = desk_config(**TINY)
     params = build_model(cfg)
     rng = np.random.default_rng(2)
-    x = Tensor(rng.standard_normal((1, cfg.channels, 6, 6)))
+    x = Tensor(_nhwc(rng.standard_normal((1, cfg.channels, 6, 6))))
     out = asf_ssb_forward(x, params.blocks[0], cfg, ForwardMode())
     assert out.shape == x.shape
     assert np.any(out.data != x.data)
@@ -142,12 +164,13 @@ def test_hard_route_module_records_one_node_per_norm_and_scan(tape_objects):
     # 49 when layer_norm recorded 9 nodes and the scan order 5 gathers; 36
     # while the spectral features took 6 nodes, each biased projection 2
     # and silu 2; 27 while the global prompt took 5 nodes and the zoh
-    # decay 6; 18 while the gated projection took 3 and the head 2
-    assert nodes == 18 - 2 - 1
+    # decay 6; 18 while the gated projection took 3 and the head 2; 15
+    # while the router took 4 (noise add, 1/tau scale, softmax, one-hot)
+    assert nodes == 15 - 3
 
 
 def _up_conv_read_by_pixel_shuffle(params, cfg, rng):
-    x = Tensor(rng.standard_normal((2, cfg.channels, 8, 8)), requires_grad=True)
+    x = Tensor(_nhwc(rng.standard_normal((2, cfg.channels, 8, 8))), requires_grad=True)
     mid = conv2d(x, params.up_k[0], 1, params.up_b[0])
     return x, mid, lambda: [pixel_shuffle(mid, 2)]
 
@@ -344,15 +367,15 @@ def _under_settrace(fn):
 
 def test_desk_step_gradients_do_not_depend_on_a_vjp_s_output_layout(monkeypatch):
     """The tape walk hands each vjp a C-order cotangent, so a pixel_shuffle
-    vjp that returns the same values channels-last changes no byte of the
+    vjp that returns the same values channels-first changes no byte of the
     up convs' gradients, whose bias gradient sums that cotangent."""
     plain = _desk_step_bytes(lambda fn: fn())
     unshuffle = tensor._unshuffle_fwd
 
-    def channels_last(d, r):
-        return np.ascontiguousarray(unshuffle(d, r).transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    def channels_first(d, r):
+        return np.ascontiguousarray(unshuffle(d, r).transpose(0, 3, 1, 2)).transpose(0, 2, 3, 1)
 
-    monkeypatch.setattr(tensor, "_unshuffle_fwd", channels_last)
+    monkeypatch.setattr(tensor, "_unshuffle_fwd", channels_first)
     assert _desk_step_bytes(lambda fn: fn()) == plain
 
 

@@ -17,7 +17,6 @@ from promptscan.tensor import (
     mul,
     pixel_shuffle,
     power,
-    reshape,
     separable_map,
     sigmoid,
     silu,
@@ -162,11 +161,22 @@ def test_layer_norm_is_one_node_matching_the_composite_chain(shape):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _nhwc(a):
+    """An NCHW array as the C-contiguous NHWC map that conv2d and
+    pixel_shuffle take; the oracles below stay NCHW."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
+def _nchw(a):
+    """An NHWC result in the NCHW layout of the oracles."""
+    return a.transpose(0, 3, 1, 2)
+
+
 def test_conv2d_matches_direct_convolution():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((1, 2, 5, 6))
     k = rng.standard_normal((3, 2, 3, 3))
-    out = conv2d(Tensor(x), Tensor(k), pad=1).data
+    out = _nchw(conv2d(Tensor(_nhwc(x)), Tensor(k), pad=1).data)
 
     ref = np.zeros((1, 3, 5, 6))
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
@@ -179,11 +189,11 @@ def test_conv2d_matches_direct_convolution():
 
 def test_conv2d_rejects_even_kernel():
     with pytest.raises(ContractError):
-        conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))), pad=0)
+        conv2d(Tensor(_nhwc(np.zeros((1, 1, 4, 4)))), Tensor(np.zeros((1, 1, 2, 2))), pad=0)
 
 
 def test_conv2d_rejects_pad_beyond_kernel_extent():
-    x = Tensor(np.zeros((1, 1, 4, 4)))
+    x = Tensor(_nhwc(np.zeros((1, 1, 4, 4))))
     conv2d(x, Tensor(np.zeros((1, 1, 3, 3))), pad=2)
     with pytest.raises(ContractError):
         conv2d(x, Tensor(np.zeros((1, 1, 3, 3))), pad=3)
@@ -194,17 +204,17 @@ def test_conv2d_rejects_pad_beyond_kernel_extent():
 @pytest.mark.parametrize("kh,kw,pad", [(3, 3, 0), (3, 3, 2), (5, 3, 1), (1, 1, 0)])
 def test_conv2d_input_gradient_scatters_each_output(kh, kw, pad):
     rng = np.random.default_rng(7)
-    x = Tensor(rng.standard_normal((2, 2, 5, 6)), requires_grad=True)
+    x = Tensor(_nhwc(rng.standard_normal((2, 2, 5, 6))), requires_grad=True)
     k = rng.standard_normal((3, 2, kh, kw))
     out = conv2d(x, Tensor(k), pad=pad)
-    g = rng.standard_normal(out.shape)
-    (out * Tensor(g)).sum().backward()
+    g = rng.standard_normal(_nchw(out.data).shape)
+    (out * Tensor(_nhwc(g))).sum().backward()
 
     ref = np.zeros((2, 2, 5 + 2 * pad, 6 + 2 * pad))
-    for i in range(out.shape[2]):
-        for j in range(out.shape[3]):
+    for i in range(g.shape[2]):
+        for j in range(g.shape[3]):
             ref[:, :, i : i + kh, j : j + kw] += np.einsum("bo,ocuv->bcuv", g[:, :, i, j], k)
-    np.testing.assert_allclose(x.grad, ref[:, :, pad : pad + 5, pad : pad + 6], atol=1e-12)
+    np.testing.assert_allclose(_nchw(x.grad), ref[:, :, pad : pad + 5, pad : pad + 6], atol=1e-12)
 
 
 def _conv2d_loops(x, k, pad, g):
@@ -244,20 +254,20 @@ _CONV_LOOP_CASES = [
 @pytest.mark.parametrize("b,cin,cout,h,w,kh,kw,pad", _CONV_LOOP_CASES)
 def test_conv2d_output_and_both_gradients_match_tap_loops(b, cin, cout, h, w, kh, kw, pad):
     rng = np.random.default_rng(11)
-    x = Tensor(rng.standard_normal((b, cin, h, w)), requires_grad=True)
+    x = Tensor(_nhwc(rng.standard_normal((b, cin, h, w))), requires_grad=True)
     k = Tensor(rng.standard_normal((cout, cin, kh, kw)), requires_grad=True)
     out = conv2d(x, k, pad=pad)
-    g = rng.standard_normal(out.shape)
-    (out * Tensor(g)).sum().backward()
-    want = _conv2d_loops(x.data, k.data, pad, g)
-    for got, ref in zip((out.data, x.grad, k.grad), want):
+    g = rng.standard_normal(_nchw(out.data).shape)
+    (out * Tensor(_nhwc(g))).sum().backward()
+    want = _conv2d_loops(_nchw(x.data), k.data, pad, g)
+    for got, ref in zip((_nchw(out.data), _nchw(x.grad), k.grad), want):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_conv2d_forward_builds_no_window_copy(traced_peak):
     # input and frame are 4 MiB each; a 3x3 window copy of the input would be 36 MiB
-    x = Tensor(np.random.default_rng(0).standard_normal((1, 32, 128, 128)))
+    x = Tensor(_nhwc(np.random.default_rng(0).standard_normal((1, 32, 128, 128))))
     k = Tensor(np.random.default_rng(1).standard_normal((1, 32, 3, 3)))
     _, peak = traced_peak(lambda: conv2d(x, k, pad=1))
     assert peak < 16 * 2**20, f"forward peak {peak / 2**20:.1f} MiB"
@@ -269,7 +279,7 @@ def test_pixel_shuffle_layout_oracle():
     x = np.zeros((1, 4, 2, 2))
     for c in range(4):
         x[0, c] = c + 1
-    out = pixel_shuffle(Tensor(x), r).data
+    out = _nchw(pixel_shuffle(Tensor(_nhwc(x)), r).data)
     assert out.shape == (1, 1, 4, 4)
     expected_block = np.array([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(out[0, 0, :2, :2], expected_block)
@@ -279,8 +289,8 @@ def test_pixel_shuffle_layout_oracle():
 def test_pixel_shuffle_unshuffle_inverse():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 8, 3, 5))
-    back = _unshuffle_fwd(pixel_shuffle(Tensor(x), 2).data, 2)
-    np.testing.assert_array_equal(back, x)
+    back = _unshuffle_fwd(pixel_shuffle(Tensor(_nhwc(x)), 2).data, 2)
+    np.testing.assert_array_equal(_nchw(back), x)
 
 
 def test_separable_map_equals_explicit_double_product():
@@ -354,20 +364,20 @@ def test_conv2d_with_bias_is_one_node_matching_the_broadcast_add(
 ):
     rng = np.random.default_rng(cin * cout + ksize)
     arrays = [
-        rng.standard_normal((b, cin, h, w)),
+        _nhwc(rng.standard_normal((b, cin, h, w))),
         rng.standard_normal((cout, cin, ksize, ksize)),
         rng.standard_normal(cout),
     ]
     ho, wo = h + 2 * pad - ksize + 1, w + 2 * pad - ksize + 1
-    # weighting the output through a transpose hands the conv a
-    # channels-last cotangent, which the tape walk copies to C order
+    # weighting the output through a transpose hands the conv an NCHW
+    # cotangent, which the tape walk copies to C order
     if layout == "nchw":
-        head, g = (lambda t: t), rng.standard_normal((b, cout, ho, wo))
+        head, g = (lambda t: transpose(t, (0, 3, 1, 2))), rng.standard_normal((b, cout, ho, wo))
     else:
-        head, g = (lambda t: transpose(t, (0, 2, 3, 1))), rng.standard_normal((b, ho, wo, cout))
+        head, g = (lambda t: t), rng.standard_normal((b, ho, wo, cout))
     _assert_same_bytes(
         lambda x, k, bias: head(conv2d(x, k, pad, bias)),
-        lambda x, k, bias: head(conv2d(x, k, pad) + reshape(bias, (1, -1, 1, 1))),
+        lambda x, k, bias: head(conv2d(x, k, pad) + bias),
         arrays,
         g,
     )
@@ -375,7 +385,7 @@ def test_conv2d_with_bias_is_one_node_matching_the_broadcast_add(
     out = conv2d(*leaves[:2], pad, leaves[2])
     assert out._parents == tuple(leaves)
     # a compact channels-last array, not a view of the padded tap sums
-    assert out.data.transpose(0, 2, 3, 1).flags.c_contiguous
+    assert out.data.flags.c_contiguous
     assert out.data.base is None or out.data.base.size == out.data.size
 
 
@@ -415,13 +425,14 @@ def test_conv2d_crop_moved_in_place_matches_the_copy_out_form(ksize, pad, biased
         arrays.append(rng.standard_normal(5))
     want = _copy_out_conv2d(*arrays[:2], pad, arrays[2] if biased else None)
     g = rng.standard_normal(want.shape)
+    arrays[0], want, g = _nhwc(arrays[0]), want.transpose(0, 2, 3, 1), _nhwc(g)
 
     def run(copy_out):
         leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
         out = conv2d(leaves[0], leaves[1], pad, *leaves[2:])
         if copy_out:
             out = Tensor._from_op(want.copy(order="K"), (out,), lambda gout: (gout,))
-        (transpose(out, (0, 2, 3, 1)) * Tensor(g.transpose(0, 2, 3, 1))).sum().backward()
+        (out * Tensor(g)).sum().backward()
         return out.data, [t.grad for t in leaves]
 
     (got, grads), (ref, ref_grads) = run(False), run(True)
@@ -488,18 +499,25 @@ def _reshape_shuffle(d, r):
 
 
 @pytest.mark.parametrize("r", [2, 3])
-def test_pixel_shuffle_writes_channels_last_with_the_same_values_and_gradient(r):
+def test_pixel_shuffle_sends_nhwc_channel_c_r2_plus_i_r_plus_j_to_sub_pixel_i_j(r):
+    """The NCHW shuffle's channel order, so a trained up conv's kernel
+    keeps its meaning; the gradient gathers the cotangent back."""
     rng = np.random.default_rng(r)
-    x0 = rng.standard_normal((2, 3 * r * r, 4, 5))
-    # a channels-last input, like the conv output it follows in the model
-    x0 = np.ascontiguousarray(x0.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-    w = rng.standard_normal((2, 3, 4 * r, 5 * r))
+    x0 = rng.standard_normal((2, 4, 5, 3 * r * r))
+    w = rng.standard_normal((2, 4 * r, 5 * r, 3))
+    want, gwant = np.empty_like(w), np.empty_like(x0)
+    for c in range(3):
+        for i in range(r):
+            for j in range(r):
+                want[:, i::r, j::r, c] = x0[..., c * r * r + i * r + j]
+                gwant[..., c * r * r + i * r + j] = w[:, i::r, j::r, c]
     x = Tensor(x0, requires_grad=True)
     out = pixel_shuffle(x, r)
-    assert out.data.transpose(0, 2, 3, 1).flags.c_contiguous
-    np.testing.assert_array_equal(out.data, _reshape_shuffle(x0, r))
+    assert out.data.flags.c_contiguous
+    np.testing.assert_array_equal(out.data, want)
+    np.testing.assert_array_equal(_nchw(out.data), _reshape_shuffle(_nchw(x0), r))
     (out * Tensor(w)).sum().backward()
-    np.testing.assert_array_equal(x.grad, _unshuffle_fwd(w, r))
+    np.testing.assert_array_equal(x.grad, gwant)
     assert x.grad.flags.c_contiguous
 
 

@@ -8,7 +8,7 @@ from promptscan.errors import ContractError, DimensionError
 from promptscan.losses import build_feature_extractor, thermal_mask, total_loss
 from promptscan.network import ForwardMode, build_model, desk_config, model_forward, seed_streams
 from promptscan.pgm import write_pgm
-from promptscan.tensor import Tensor
+from promptscan.tensor import Tensor, conv2d
 from promptscan.training import (
     EVAL_HEADER,
     EvalRow,
@@ -175,12 +175,16 @@ def _desk_train_loss():
 
 
 def test_desk_train_forward_tape_holds_only_what_its_vjps_read(tape_objects, tape_bytes):
-    """The desk train loss records 107 nodes whose vjps saved 12.4 MiB of
-    distinct arrays, 11.9 MiB of live traced arrays. With three nodes per
+    """The desk train loss records 93 nodes whose vjps saved 12.4 MiB of
+    distinct arrays, 11.9 MiB of live traced arrays. With four nodes per
+    router (noise add, 1/tau scale, softmax, one-hot) it recorded 105
+    nodes, and with a transpose pair per block between NCHW feature maps
+    and tokens 107, saving the same arrays. With three nodes per
     gated projection (linear, silu, linear) and two per head (layer_norm,
     linear), and the global prompt keeping its unfolded features, 119
-    nodes saved 16.3 MiB (15.8 live). With the global prompt as five nodes (the features, three projections and an
-    attention that kept q, k and v), the zoh decay as six and silu
+    nodes saved 16.3 MiB (15.8 live). With the global prompt as five
+    nodes (the features, three projections and an attention that kept q,
+    k and v), the zoh decay as six and silu
     keeping its sigmoid, 155 nodes saved 21.3 MiB (20.8 live; 21.2 while
     each untracked parent stayed on the tape as its tensor). While the
     tape held every op output's tensor, and closures held tensors to
@@ -195,7 +199,7 @@ def test_desk_train_forward_tape_holds_only_what_its_vjps_read(tape_objects, tap
         live = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert sum(t._vjp is not None for t in tape_objects(loss)) == 107
+    assert sum(t._vjp is not None for t in tape_objects(loss)) == 93
     saved = tape_bytes(loss)
     kinds = ", ".join(
         f"{kind} {n / 2**20:.2f}" for kind, n in sorted(saved.items(), key=lambda kv: -kv[1])
@@ -216,7 +220,7 @@ def test_desk_train_tape_keeps_no_tensor_but_its_leaves(tape_objects):
     loss = _desk_train_loss()()
     objects = tape_objects(loss)
     records = [t for t in objects if t._vjp is not None]
-    assert len(records) == 107
+    assert len(records) == 93
     holding = sorted(
         {
             t._vjp.__qualname__
@@ -228,6 +232,30 @@ def test_desk_train_tape_keeps_no_tensor_but_its_leaves(tape_objects):
     assert holding == []
     leaves = [t for t in objects[1:] if isinstance(t, Tensor)]
     assert all(t._node is None and t.requires_grad for t in leaves)
+
+
+def test_desk_train_tape_holds_no_transpose_and_conv2d_reads_any_nhwc_layout(tape_objects):
+    """Feature maps are (B, H, W, C) from the shallow conv to the head, so
+    a block's tokens are a reshape of its map and no transpose is
+    recorded; conv2d gives the same bytes on a strided NHWC view as on
+    its C-contiguous copy."""
+    loss = _desk_train_loss()()
+    kinds = {t._vjp.__qualname__.split(".")[0] for t in tape_objects(loss) if t._vjp is not None}
+    assert "conv2d" in kinds and "transpose" not in kinds
+
+    rng = np.random.default_rng(23)
+    view = rng.standard_normal((2, 5, 6, 7)).transpose(0, 2, 3, 1)
+    k, b = rng.standard_normal((4, 5, 3, 3)), rng.standard_normal(4)
+    g = rng.standard_normal((2, 6, 7, 4))
+
+    def run(x):
+        leaves = [Tensor(a, requires_grad=True) for a in (x, k, b)]
+        out = conv2d(leaves[0], leaves[1], 1, leaves[2])
+        (out * Tensor(g)).sum().backward()
+        return [out.data.tobytes()] + [np.ascontiguousarray(t.grad).tobytes() for t in leaves]
+
+    assert not view.flags.c_contiguous
+    assert run(view) == run(np.ascontiguousarray(view))
 
 
 def test_train_loop_rejects_empty_dataset(tmp_path):

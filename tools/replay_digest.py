@@ -12,7 +12,11 @@ files go to a temporary directory that is removed on exit. It prints one
   default (desk) config on eight structured HR 64² images;
 - the ``promptscan eval`` TSV of that checkpoint on the same images;
 - an untracked eval-mode forward of one structured LR 64² image on each
-  of two seeded desk checkpoints (``inputs.write_checkpoint``).
+  of two seeded desk checkpoints (``inputs.write_checkpoint``);
+- an untracked eval-mode forward of one structured LR 24² image on a
+  freshly built ``desk_config(scale=4, seed=43)`` model, which reaches
+  the second up-sampling stage, and that model's ``erf_map`` on the same
+  image, which runs the input gradient through every conv and shuffle.
 
 Two checkouts whose outputs, gradients and optimizer steps agree bit for
 bit print the same lines. BLAS runs on one thread, as in the benchmark.
@@ -39,13 +43,20 @@ from inputs import write_checkpoint, write_images  # noqa: E402
 from promptscan import cli, training  # noqa: E402
 from promptscan.checkpoint import load_checkpoint  # noqa: E402
 from promptscan.config import RunConfig  # noqa: E402
-from promptscan.network import ForwardMode, model_forward  # noqa: E402
+from promptscan.network import (  # noqa: E402
+    ForwardMode,
+    build_model,
+    desk_config,
+    model_forward,
+    named_parameters,
+)
 from promptscan.pgm import read_pgm  # noqa: E402
 from promptscan.tensor import Tensor  # noqa: E402
 
 TRAIN_SEED = 1
 TRAIN_STEPS = 10
 FORWARD_SEEDS = (41, 42)
+SCALE4_SEED = 43
 
 
 def _sha(data: bytes) -> str:
@@ -80,6 +91,17 @@ def digests(work: Path) -> list:
         img, _ = read_pgm(img_path)
         sr = model_forward(Tensor(img[None, None]), params, model_cfg, ForwardMode())
         out.append((_sha(sr.data.tobytes()), f"forward, LR 64², checkpoint seed {seed}"))
+
+    model_cfg = desk_config(scale=4, seed=SCALE4_SEED)
+    params = build_model(model_cfg)
+    for t in named_parameters(params).values():
+        t.requires_grad = False
+    (img_path,) = write_images(work / "lr24", SCALE4_SEED, count=1, size=24)
+    img, _ = read_pgm(img_path)
+    sr = model_forward(Tensor(img[None, None]), params, model_cfg, ForwardMode())
+    out.append((_sha(sr.data.tobytes()), f"forward, LR 24², scale 4, seed {SCALE4_SEED}"))
+    erf = training.erf_map(params, model_cfg, img)
+    out.append((_sha(erf.tobytes()), f"erf_map, LR 24², scale 4, seed {SCALE4_SEED}"))
     return out
 
 
