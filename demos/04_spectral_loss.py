@@ -56,6 +56,5 @@ params = build_model(desk_config(channels=4, blocks=1, modules_per_block=1,
                                  pool_size=2))
 extractor = build_feature_extractor(seed=33)
 mask = thermal_mask(img, params.gate_k, params.gate_b, extractor)
-print("\nmask over the truth:", mask.m.shape, "values in",
-      (round(float(mask.m.data.min()), 3), round(float(mask.m.data.max()), 3)))
-print("extractor:", mask.source)
+print("\nmask over the truth:", mask.shape, "values in",
+      (round(float(mask.data.min()), 3), round(float(mask.data.max()), 3)))

@@ -38,12 +38,15 @@ class TrainConfig:
             raise ConfigError("patch must be at least 8")
         if not math.isfinite(self.lr) or self.lr < 0:
             raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
+        for name in ("beta1", "beta2"):
+            v = getattr(self, name)
+            if not 0 <= v < 1:
+                raise ConfigError(f"{name} must lie in [0, 1), got {v}")
         if not math.isfinite(self.eps) or self.eps <= 0:
             raise ConfigError(f"eps must be finite and positive, got {self.eps}")
-        if self.log_every < 1 or self.ckpt_every < 1:
-            raise ConfigError("log_every and ckpt_every must be at least 1")
+        for name in ("log_every", "ckpt_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
 
 
 @dataclass
@@ -122,9 +125,11 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
     try:
         cfg.validate()
     except ConfigError as e:
-        # point at the line that set the offending field when we can
+        # every validation message starts with the field it rejects:
+        # point at the line that set that field, when one did
+        fname = str(e).split(" ", 1)[0]
         for key, ln in key_lines.items():
-            if key.split(".", 1)[1] in str(e):
+            if key.split(".", 1)[1] == fname:
                 raise ParseError(f"{source} line {ln}: {e}") from None
         raise ParseError(f"{source}: {e}") from None
     return cfg

@@ -1,21 +1,19 @@
 """2-d Fourier transforms on ``numpy.fft``, with a differentiable spectrum.
 
 Conventions: the forward transform is unnormalized, kernel
-``exp(-2*pi*i*k*n/N)``; the inverse carries the full ``1/(H*W)``. Both
-act on the trailing two axes.
+``exp(-2*pi*i*k*n/N)``, over the trailing two axes.
 
-The raw functions work on numpy arrays and carry no gradient.
-:func:`fft2d` wraps the forward one for :class:`~.tensor.Tensor`
+:func:`fft2d_raw` works on numpy arrays and carries no gradient;
+:func:`fft2d` is the same transform for :class:`~.tensor.Tensor`
 inputs. A spectrum is one tape node whose value holds both planes in one
 real array, ``planes[..., 0]`` the real part and ``planes[..., 1]`` the
 imaginary part (the memory layout of a complex array), so the backward
 pass of a transform is a single transform however many consumers read
-its planes. :func:`spectral_features_raw` is the spectral attention's
-front end: the transform of a token grid over its grid axes, laid out
-per token, in two steps (:func:`grid_half_spectrum`, then
-:func:`unfold_features`) so that a caller can keep the smaller rfft half
-and unfold it again; :func:`spectral_features` is the same map as one
-node.
+its planes. The spectral attention's front end is the transform of a
+token grid over its grid axes, laid out per token, in two steps
+(:func:`grid_half_spectrum`, then :func:`unfold_features`) so that a
+caller can keep the smaller rfft half and unfold it again;
+:func:`spectral_features_grad` is that map's vjp.
 """
 
 from __future__ import annotations
@@ -25,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import Tensor, astensor
+from .tensor import Tensor
 
-# -- raw complex transforms -------------------------------------------
+# -- raw complex transform --------------------------------------------
 
 
 def fft2d_raw(a: np.ndarray) -> np.ndarray:
@@ -36,14 +34,6 @@ def fft2d_raw(a: np.ndarray) -> np.ndarray:
     if a.ndim < 2:
         raise DimensionError(f"fft2d needs at least 2 axes, got shape {a.shape}")
     return np.fft.fft2(a)
-
-
-def ifft2d_raw(a: np.ndarray) -> np.ndarray:
-    """Inverse 2-d DFT with the full 1/(H*W) normalization."""
-    a = np.asarray(a)
-    if a.ndim < 2:
-        raise DimensionError(f"ifft2d needs at least 2 axes, got shape {a.shape}")
-    return np.fft.ifft2(a)
 
 
 def _complex(planes: np.ndarray) -> np.ndarray:
@@ -78,15 +68,15 @@ class ComplexSpectrum:
             inv = np.where(out > 0, 1.0 / out, 0.0)
         return Tensor._from_op(out, (p,), lambda g: ((g * inv)[..., None] * pd,))
 
-    def phase(self, grad_eps: float = 0.0) -> Tensor:
-        """atan2(im, re); gradient masked to 0 on radii <= grad_eps."""
+    def phase(self) -> Tensor:
+        """atan2(im, re), with gradient defined as 0 at exact zeros."""
         p = self.planes
         pd = p.data
         re, im = pd[..., 0], pd[..., 1]
         out = np.arctan2(im, re)
         r2 = re * re + im * im
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(r2 > grad_eps * grad_eps, 1.0 / r2, 0.0)
+            inv = np.where(r2 > 0, 1.0 / r2, 0.0)
         inv = np.where(np.isfinite(inv), inv, 0.0)
 
         def vjp(g):
@@ -166,16 +156,12 @@ def unfold_features(half: np.ndarray, w: int) -> np.ndarray:
     return feats.reshape(bsz, h * w, 2 * c)
 
 
-def spectral_features_raw(x: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Per-token spectral features of a (B, h*w, C) token grid, scaled by
-    1/N: :func:`unfold_features` of its :func:`grid_half_spectrum`."""
-    return unfold_features(grid_half_spectrum(x, h, w), w)
-
-
 def spectral_features_grad(g: np.ndarray, h: int, w: int) -> np.ndarray:
-    """The token gradient of :func:`spectral_features_raw` for a (B, N, 2C)
-    cotangent G: the map is linear, so it is Re(FFT2(conj(G) / N)) with G
-    read as complex numbers, as contiguous (B, N, C) token gradients."""
+    """The token gradient of a (B, h*w, C) grid's spectral features
+    (:func:`unfold_features` of its :func:`grid_half_spectrum`) for a
+    (B, N, 2C) cotangent G: the map is linear, so it is
+    Re(FFT2(conj(G) / N)) with G read as complex numbers, as contiguous
+    (B, N, C) token gradients."""
     bsz, n, c2 = g.shape
     c, scale = c2 // 2, 1.0 / n
     g = g.reshape(bsz, h, w, 2, c)
@@ -184,16 +170,3 @@ def spectral_features_grad(g: np.ndarray, h: int, w: int) -> np.ndarray:
     np.multiply(g[..., 1, :], -scale, out=z.imag)
     return np.ascontiguousarray(np.fft.fft2(z, axes=(1, 2)).real).reshape(bsz, n, c)
 
-
-def spectral_features(x, h: int, w: int) -> Tensor:
-    """:func:`spectral_features_raw` as one node. The map is linear, so the
-    node keeps no array; its vjp is :func:`spectral_features_grad`. Every
-    value and gradient is the one the chain of transposes, ``fft2d`` and
-    a scale gives.
-    """
-    x = astensor(x)
-    return Tensor._from_op(
-        spectral_features_raw(x.data, h, w),
-        (x,),
-        lambda g: (spectral_features_grad(g, h, w),),
-    )

@@ -64,7 +64,6 @@ class FeatureExtractor:
 
     kernels: list
     biases: list
-    source: str
 
     @property
     def reduction(self) -> int:
@@ -79,18 +78,10 @@ def build_feature_extractor(seed: int) -> FeatureExtractor:
         s = 1.0 / np.sqrt(cin * 9)
         kernels.append(rng.uniform(-s, s, size=(cout, cin, 3, 3)))
         biases.append(np.zeros(cout))
-    return FeatureExtractor(
-        kernels=kernels, biases=biases, source=f"conv3x3-stack(seed={seed})"
-    )
+    return FeatureExtractor(kernels=kernels, biases=biases)
 
 
-@dataclass
-class ThermalMask:
-    m: Tensor
-    source: str
-
-
-def thermal_mask(hr, gate_k: Tensor, gate_b: Tensor, extractor: FeatureExtractor) -> ThermalMask:
+def thermal_mask(hr, gate_k: Tensor, gate_b: Tensor, extractor: FeatureExtractor) -> Tensor:
     """Sigmoid saliency map of the ground truth, upsampled to full size.
 
     Differentiable only in the gate parameters; the extractor features
@@ -111,50 +102,50 @@ def thermal_mask(hr, gate_k: Tensor, gate_b: Tensor, extractor: FeatureExtractor
         feat = feat[:, ::2, ::2]
     gate = conv2d(feat, gate_k, 0, gate_b)
     gate = gate.reshape(bsz, 1, *gate.shape[1:3])
-    m = resample(sigmoid(gate), h, w, kind="linear", antialias=False)
-    return ThermalMask(m=m, source=extractor.source)
+    return resample(sigmoid(gate), h, w, kind="linear", antialias=False)
 
 
-def uniform_mask(hr) -> ThermalMask:
+def uniform_mask(hr) -> Tensor:
     """mask = 1 everywhere; turns the spectral term into plain magnitude L1."""
-    hr = astensor(hr)
-    return ThermalMask(m=Tensor(np.ones_like(hr.data)), source="uniform")
+    return Tensor(np.ones_like(astensor(hr).data))
 
 
-def phase_loss(sr, hr, phase_eps: float = PHASE_EPS) -> Tensor:
+def phase_loss(sr, hr) -> Tensor:
     """Mean absolute wrapped phase difference over confident bins.
 
     The raw angle difference is discontinuous at +-pi; wrapping it
     through atan2(sin d, cos d) keeps the loss continuous with unit
     gradient everywhere except the (measure-zero) wrap point. Bins where
-    either spectrum's magnitude falls below ``phase_eps`` carry
-    numerically meaningless angles and are excluded from the mean.
+    either spectrum's magnitude falls below ``PHASE_EPS`` carry
+    numerically meaningless angles and are excluded from the mean; the
+    mask multiplies the loss, so their cotangent is already 0 when the
+    phase's vjp runs.
     """
     sr, hr = astensor(sr), astensor(hr)
     if sr.shape != hr.shape:
         raise DimensionError(f"shape mismatch: {tuple(sr.shape)} vs {tuple(hr.shape)}")
     fs, fh = fft2d(sr), fft2d(hr)
-    d = fs.phase(grad_eps=phase_eps) - fh.phase(grad_eps=phase_eps)
+    d = fs.phase() - fh.phase()
     wrapped = atan2(sin(d), cos(d))
     ps, ph = fs.planes.data, fh.planes.data
-    keep = (np.hypot(ps[..., 0], ps[..., 1]) >= phase_eps) & (
-        np.hypot(ph[..., 0], ph[..., 1]) >= phase_eps
+    keep = (np.hypot(ps[..., 0], ps[..., 1]) >= PHASE_EPS) & (
+        np.hypot(ph[..., 0], ph[..., 1]) >= PHASE_EPS
     )
     count = max(float(keep.sum()), 1.0)
     return (absolute(wrapped) * Tensor(keep)).sum() * (1.0 / count)
 
 
-def freq_loss(sr, hr, mask: ThermalMask) -> Tensor:
+def freq_loss(sr, hr, mask: Tensor) -> Tensor:
     """Mean L1 distance between magnitude spectra of the masked images."""
     sr, hr = astensor(sr), astensor(hr)
     if sr.shape != hr.shape:
         raise DimensionError(f"shape mismatch: {tuple(sr.shape)} vs {tuple(hr.shape)}")
-    if mask.m.shape != sr.shape:
+    if mask.shape != sr.shape:
         raise DimensionError(
-            f"mask shape {tuple(mask.m.shape)} does not match images {tuple(sr.shape)}"
+            f"mask shape {tuple(mask.shape)} does not match images {tuple(sr.shape)}"
         )
-    ms = fft2d(sr * mask.m).magnitude()
-    mh = fft2d(hr * mask.m).magnitude()
+    ms = fft2d(sr * mask).magnitude()
+    mh = fft2d(hr * mask).magnitude()
     return tmean(absolute(ms - mh))
 
 
@@ -165,7 +156,7 @@ def pixel_loss(sr, hr) -> Tensor:
     return tmean(absolute(sr - hr))
 
 
-def total_loss(sr, hr, mask: ThermalMask, w: LossWeights, parts: dict | None = None) -> Tensor:
+def total_loss(sr, hr, mask: Tensor, w: LossWeights, parts: dict | None = None) -> Tensor:
     """Weighted sum of the three terms; ``parts`` receives their floats."""
     w.validate()
     lp = phase_loss(sr, hr)

@@ -9,13 +9,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import ContractError, DimensionError
 
 _PEAK = 255.0
+# SSIM's standard constants (Wang et al. 2004): an 11x11 Gaussian window
+# of sigma 1.5, and c1 = (0.01 L)^2, c2 = (0.03 L)^2 at peak L
+_SSIM_SIZE = 11
+_SSIM_SIGMA = 1.5
+_SSIM_C1 = (0.01 * _PEAK) ** 2
+_SSIM_C2 = (0.03 * _PEAK) ** 2
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -34,15 +39,15 @@ def psnr(a: np.ndarray, b: np.ndarray) -> tuple:
     return 10.0 * math.log10(_PEAK * _PEAK / err), err
 
 
-def _gaussian_taps(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+def _gaussian_taps() -> np.ndarray:
     """1-d Gaussian summing to one; the 2-d window is its outer product."""
-    half = (size - 1) / 2.0
-    x = np.arange(size) - half
-    g = np.exp(-(x * x) / (2.0 * sigma * sigma))
+    half = (_SSIM_SIZE - 1) / 2.0
+    x = np.arange(_SSIM_SIZE) - half
+    g = np.exp(-(x * x) / (2.0 * _SSIM_SIGMA * _SSIM_SIGMA))
     return g / g.sum()
 
 
-def ssim(a: np.ndarray, b: np.ndarray, k1: float = 0.01, k2: float = 0.03) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean local SSIM, 11x11 Gaussian window sigma 1.5, valid positions only."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -50,10 +55,10 @@ def ssim(a: np.ndarray, b: np.ndarray, k1: float = 0.01, k2: float = 0.03) -> fl
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
     if a.ndim != 2:
         raise DimensionError(f"ssim expects 2-d images, got {a.shape}")
-    size = 11
+    size = _SSIM_SIZE
     if a.shape[0] < size or a.shape[1] < size:
         raise ContractError(f"image {a.shape} smaller than the {size}x{size} window")
-    g = _gaussian_taps(size, 1.5)
+    g = _gaussian_taps()
     h, w = a.shape[0] - size + 1, a.shape[1] - size + 1
 
     def filt(x):
@@ -70,10 +75,8 @@ def ssim(a: np.ndarray, b: np.ndarray, k1: float = 0.01, k2: float = 0.03) -> fl
     var_a = filt(a * a) - mu_a * mu_a
     var_b = filt(b * b) - mu_b * mu_b
     cov = filt(a * b) - mu_a * mu_b
-    c1 = (k1 * _PEAK) ** 2
-    c2 = (k2 * _PEAK) ** 2
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    num = (2.0 * mu_a * mu_b + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
+    den = (mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
     return float(np.mean(num / den))
 
 
@@ -94,9 +97,6 @@ class ErrorHistogram:
 
     def fractions(self) -> tuple:
         return tuple(c / self.total for c in self.counts)
-
-    def exact_fractions(self) -> tuple:
-        return tuple(Fraction(c, self.total) for c in self.counts)
 
 
 def error_histogram(sr: np.ndarray, hr: np.ndarray) -> ErrorHistogram:

@@ -65,14 +65,15 @@ class ModelConfig:
             raise ConfigError(f"scale must be 2 or 4, got {self.scale}")
         if self.channels < 1:
             raise ConfigError("channels must be positive")
-        if self.blocks < 1 or self.modules_per_block < 1:
-            raise ConfigError("blocks and modules_per_block must be at least 1")
+        for name in ("blocks", "modules_per_block"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
         if self.pool_size < 2:
             raise ConfigError("pool_size must be at least 2")
         if not np.isfinite(self.temperature) or self.temperature <= 0:
             raise ConfigError(f"temperature must be finite and positive, got {self.temperature}")
         if self.prompts not in ("fused", "off"):
-            raise ConfigError(f"unknown prompts mode {self.prompts!r}")
+            raise ConfigError(f"prompts must be fused or off, got {self.prompts!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

@@ -37,17 +37,23 @@ class Adam:
 
         A parameter with no gradient this step is treated as grad 0
         (its moments still decay). Non-finite gradients abort training
-        by name rather than silently corrupting the moments.
+        by name rather than silently corrupting the moments: every
+        gradient is checked before anything is updated, so an aborted
+        step leaves the parameters, the moments and the step count as
+        they were.
         """
+        names = sorted(self.params)
+        for name in names:
+            g = self.params[name].grad
+            if g is not None and not np.all(np.isfinite(g)):
+                raise TrainingAborted(f"non-finite gradient in parameter {name!r}")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for name in sorted(self.params):
+        for name in names:
             p = self.params[name]
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
-                raise TrainingAborted(f"non-finite gradient in parameter {name!r}")
             self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
             self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
             m_hat = self.m[name] / bc1

@@ -310,83 +310,30 @@ def _row_sums(q, scale, shift, rows, kat, v, moments, buf, out, total):
         out[idx], total[idx] = o, t
 
 
-def attention(q, k, v, scale: float) -> Tensor:
-    """softmax(q @ k^T * scale) @ v as one node: exact tiles for the pairs
-    whose scores can matter, a certified degree-2 series for the rest.
+def _attention_forward(q, k, v, scale):
+    """softmax(q @ k^T * scale) @ v on plain (B, N, C) arrays: the output
+    and each row's log-sum-exp, (B, N, 1).
 
     Row i is shifted by the Cauchy-Schwarz bound m_i = sq_i * max_j kn_j,
     with sq_i = |scale| * |q_i| and kn_j = |k_j|, which no score in the
     row exceeds, so ``exp`` cannot overflow and the row max is never
     taken. The shift is fixed before any score is computed, so any
     partition of a row's keys gives partial exp-sums and value products
-    that simply add. The forward splits each batch element's pairs into
-    three such parts by the same norms. Each row may take as far its
-    f_i smallest keys, those with sq_i * kn_j <= t = ``_FAR_BOUND`` =
-    5.5e-5, and:
-
-    - heavy rows, too close to pay for a series, run the tiled loop over
-      all keys: blocks of query rows against tiles of ``_ATTN_KEY_TILE``
-      keys, a block holding at most ``_ATTN_BLOCK_ELEMS`` scores so that
-      its scores, keys and values stay in cache at any token count and
-      batch. The scale and the shift ride in the score GEMM through one
-      extra contraction column, [scale * q, -m] @ [k^T; 1] = s - m, and
-      row totals are a GEMV against ones;
-    - light rows go, in order of f_i, in chunks of one score block's
-      rows, and a chunk's cut is the least f_i among them: against the
-      near keys past the cut they run the same exact tiles;
-    - against the far keys below the cut they have |s_ij| <= t, where
-      exp(s) = 1 + s + s^2/2 up to t^3/6 * e^(2t) = 2.8e-14 of each
-      term, within the error bound gamma_256 that the tiled loop's own
-      256-term dot products carry.
-      So the far keys enter only through their moments M = sum_j
-      phi(k_j) [v_j, 1], phi(k) = [k, 1, k_a k_b (a < b), k_a^2 / 2],
-      and row i's share is [x, 1, x_a x_b (a <= b)] . M e^(-m_i) with
-      x = scale * q_i (the linear attention of Katharopoulos et al. 2020
-      with the degree-2 feature map of Arora et al. 2024, split near/far
-      as in Greengard & Rokhlin 1987). The cuts grow chunk by chunk, and
-      M grows with them.
-
-    The rows and cuts come from ``_far_split``, a flop-count cost model
-    over the sorted key norms of each batch element, which runs on its
-    own: when no split pays (N = 256, large norms), every row is heavy
-    and the tiled loop runs on the element's rows directly. All parts
-    share one buffer of ``_ATTN_BLOCK_ELEMS`` values, so memory is
-    linear in the token count.
+    that simply add. The scale and the shift ride in the score GEMM
+    through one extra contraction column, [scale * q, -m] @ [k^T; 1] =
+    s - m. Each batch element takes the near/far split ``_far_split``
+    chooses: heavy rows run the tiled loop over all keys, light rows run
+    it over their near keys and a certified degree-2 series over their
+    far ones (the linear attention of Katharopoulos et al. 2020 with the
+    feature map of Arora et al. 2024, split near/far as in Greengard &
+    Rokhlin 1987). All parts share one buffer of ``_ATTN_BLOCK_ELEMS``
+    values, so memory is linear in the token count.
 
     A row whose total underflows (below 1e-200: the bound overshoots its
     true max by about 460 or more, which needs extreme logits) or is NaN
     is recomputed with its exact max over all keys, and its total and
-    output replace the parts' sums. The node keeps q, k, v, the output
-    and the per-row log-sum-exp m_i + log(total), split or not; backward
-    recomputes each tile's probabilities from it with the same GEMM over
-    all pairs and gets dp - delta as [g, -delta] @ [v^T; 1] (Rabe &
-    Staats 2021; Dao et al. 2022), so it needs no fallback and no split.
-    ``scale`` is applied once to the (N, C) gradients of q and k. The
-    forward and the backward are ``_attention_forward`` and
-    ``_attention_grads`` on plain arrays, which ``global_prompt`` runs
-    inside its own node.
+    output replace the parts' sums.
     """
-    q, k, v = astensor(q), astensor(k), astensor(v)
-    if not (
-        q.ndim == k.ndim == v.ndim == 3
-        and q.shape[0] == k.shape[0] == v.shape[0]
-        and q.shape[2] == k.shape[2]
-        and k.shape[1] == v.shape[1]
-    ):
-        raise DimensionError(
-            f"attention operands do not fit: q {tuple(q.shape)}, "
-            f"k {tuple(k.shape)}, v {tuple(v.shape)}"
-        )
-    qd, kd, vd = q.data, k.data, v.data
-    out, lse = _attention_forward(qd, kd, vd, scale)
-    return Tensor._from_op(
-        out, (q, k, v), lambda g: _attention_grads(qd, kd, vd, out, lse, g, scale)
-    )
-
-
-def _attention_forward(q, k, v, scale):
-    """``attention``'s forward on plain (B, N, C) arrays: the output and
-    each row's log-sum-exp, (B, N, 1)."""
     bsz, nk, c = k.shape
     sq = abs(scale) * np.linalg.norm(q, axis=-1)
     kn = np.linalg.norm(k, axis=-1)
@@ -431,9 +378,17 @@ def _attention_forward(q, k, v, scale):
 
 
 def _attention_grads(q, k, v, out, lse, g, scale):
-    """``attention``'s backward on plain arrays: the gradients of q, k and
-    v for the cotangent ``g`` of the output ``out``, with each tile's
-    probabilities recomputed from the log-sum-exp ``lse``."""
+    """The gradients of q, k and v of ``_attention_forward`` for the
+    cotangent ``g`` of its output ``out``.
+
+    A node that runs the forward keeps what rebuilds q, k and v, the
+    output and each row's log-sum-exp ``lse`` = m_i + log(total_i),
+    split or not. Each tile's probabilities are recomputed from ``lse``
+    with the forward's score GEMM over all pairs, and dp - delta comes
+    as [g, -delta] @ [v^T; 1] (Rabe & Staats 2021; Dao et al. 2022), so
+    the backward needs no fallback and no split. ``scale`` is applied
+    once to the (N, C) gradients of q and k.
+    """
     nq, nk = q.shape[1], k.shape[1]
     delta = (g * out).sum(axis=-1, keepdims=True)
     gq, gk, gv = (np.zeros_like(a) for a in (q, k, v))
@@ -468,8 +423,9 @@ def global_prompt(x: Tensor, h: int, w: int, params: GlobalPromptParams) -> Tens
 
     An image's spectrum sits in a few low frequencies, so most tokens'
     features, and with them most score bounds |scale| |q_i| |k_j|, are
-    tiny: ``attention`` runs those pairs through its far-field series
-    (exact to float64 rounding) and only the rest through score tiles.
+    tiny: ``_attention_forward`` runs those pairs through its far-field
+    series (exact to float64 rounding) and only the rest through score
+    tiles.
 
     One node with parents x, wq, wk and wv. The forward takes the rfft
     half of the grid's spectrum (``fft.grid_half_spectrum``), unfolds it
@@ -481,9 +437,9 @@ def global_prompt(x: Tensor, h: int, w: int, params: GlobalPromptParams) -> Tens
     rebuilds q, k and v with the same three GEMMs, runs attention's
     tiled vjp, then the projections' and the features' vjps, the
     features' cotangent adding the three projections' terms in the order
-    the tape walk would. So every value and gradient is the one the
-    chain ``spectral_features``, three ``matmul`` and ``attention``
-    gives. Untracked, the half spectrum dies before the q, k and v GEMMs
+    the tape walk would. So every value and gradient is the one a chain
+    of five nodes gives: the features, three ``matmul`` and attention.
+    Untracked, the half spectrum dies before the q, k and v GEMMs
     and the features before attention runs.
     """
     x = astensor(x)

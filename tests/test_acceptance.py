@@ -15,11 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from promptscan.config import RunConfig, format_config, parse_config
-from promptscan.fft import fft2d_raw, ifft2d_raw
+from promptscan.fft import fft2d_raw
 from promptscan.gradsuite import run_suite
 from promptscan.losses import (
     LossWeights,
-    ThermalMask,
     freq_loss,
     phase_loss,
     total_loss,
@@ -189,7 +188,7 @@ def test_c04_fft_correctness():
     for i, (h, w) in enumerate(((4, 4), (7, 5), (8, 8), (16, 16))):
         x = np.random.default_rng(i).standard_normal((h, w))
         spec = fft2d_raw(x)
-        worst_rt = max(worst_rt, float(np.max(np.abs(ifft2d_raw(spec).real - x))))
+        worst_rt = max(worst_rt, float(np.max(np.abs(np.fft.ifft2(spec).real - x))))
         energy = float(np.sum(x * x))
         par = abs(float(np.sum(np.abs(spec) ** 2)) / (h * w) - energy) / energy
         worst_par = max(worst_par, par)
@@ -210,7 +209,7 @@ def test_c05_loss_identities():
         rng = np.random.default_rng(100 + i)
         img = Tensor(rng.uniform(0, 255, (1, 1, 12, 12)))
         if i % 2:
-            mask = ThermalMask(m=Tensor(rng.uniform(0.05, 0.95, (1, 1, 12, 12))), source="t")
+            mask = Tensor(rng.uniform(0.05, 0.95, (1, 1, 12, 12)))
         else:
             mask = uniform_mask(img)
         zero_ok &= total_loss(img, img, mask, w).item() == 0.0
@@ -317,7 +316,7 @@ def test_c07_metric_correctness():
     oracle_err = abs(ssim(a, b) - _ssim_window_oracle(a, b))
 
     hist = error_histogram(rng.uniform(0, 255, (13, 17)), rng.uniform(0, 255, (13, 17)))
-    frac_ok = sum(hist.exact_fractions()) == Fraction(1)
+    frac_ok = sum(Fraction(c, hist.total) for c in hist.counts) == Fraction(1)
 
     ok = psnr_ok and self_ok and oracle_err <= 1e-8 and frac_ok
     _report(7, f"metric correctness (ssim oracle err {oracle_err:.1e})", ok)

@@ -91,6 +91,22 @@ def test_validation_error_mapped_to_offending_line():
 
 
 @pytest.mark.parametrize(
+    "text, field",
+    [
+        ("train.eps=1e-8\ntrain.steps=0\n", "steps"),
+        ("train.log_every=1\ntrain.ckpt_every=0\n", "ckpt_every"),
+        ("train.beta1=0.9\ntrain.beta2=1.5\n", "beta2"),
+        ("model.blocks=2\nmodel.modules_per_block=0\n", "modules_per_block"),
+    ],
+)
+def test_validation_error_names_the_line_of_its_field_not_of_a_substring(text, field):
+    """The first line's field name is part of the second's ("eps" of
+    "steps") or of the same message, yet the error names line 2."""
+    with pytest.raises(ParseError, match=f"line 2: {field} must"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize(
     "line",
     [
         "model.seed=-1",

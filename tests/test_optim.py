@@ -82,6 +82,21 @@ def test_nonfinite_gradient_aborts_with_parameter_name():
         opt.step()
 
 
+def test_nonfinite_gradient_aborts_before_any_update():
+    """The bad gradient is on the last parameter in sorted order, so an
+    update loop that checked as it went would have moved the others."""
+    params = {name: Tensor(np.array([1.0]), requires_grad=True) for name in ("a", "b", "c")}
+    opt = Adam(params, lr=0.1)
+    params["a"].grad = np.array([1.0])
+    params["c"].grad = np.array([np.inf])
+    with pytest.raises(TrainingAborted, match="'c'"):
+        opt.step()
+    assert opt.step_count == 0
+    for name, p in params.items():
+        assert p.data[0] == 1.0, name
+        assert not opt.m[name].any() and not opt.v[name].any(), name
+
+
 def test_hyperparameter_validation():
     p = {"p": Tensor(np.array([1.0]), requires_grad=True)}
     with pytest.raises(ConfigError):

@@ -9,19 +9,14 @@ from promptscan.errors import ConfigError, ContractError, DimensionError
 from promptscan.prompts import (
     GlobalPromptParams,
     PromptPool,
-    attention,
     global_prompt,
     gumbel_noise,
     route_tokens,
 )
-from promptscan.fft import (
-    fft2d,
-    grid_half_spectrum,
-    spectral_features,
-    spectral_features_raw,
-    unfold_features,
-)
+from promptscan.fft import fft2d, grid_half_spectrum, unfold_features
 from promptscan.tensor import Tensor, matmul, reshape, softmax, transpose
+
+from oracles import attention, spectral_features
 
 
 def make_pool(t=4, c=3, seed=0, temperature=1.0):
@@ -516,23 +511,6 @@ def test_attention_score_block_counts_the_batch(traced_peak):
     assert peak - kept <= scores + augmented + 2**19, f"peak {peak / 2**20:.2f} MiB"
 
 
-def test_attention_node_keeps_only_its_output_and_log_sum_exp():
-    """After a tracked forward the augmented operands are gone: they
-    would add about 2 * N * C * 8 bytes (1 MiB here) to what stays live."""
-    rng = np.random.default_rng(10)
-    n, c = 2048, 32
-    leaves = [Tensor(rng.standard_normal((1, n, c)), requires_grad=True) for _ in range(3)]
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = attention(*leaves, 1.0 / np.sqrt(c))
-        grown = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    assert out.requires_grad
-    assert grown <= out.data.nbytes + n * 8 + 2**16, f"grew {grown / 2**10:.0f} KiB"
-
-
 def test_untracked_global_prompt_frees_the_spectrum_before_attention(monkeypatch, traced_peak):
     """(1, 4096, 32): only q, k and v (3 MiB) are live when attention
     starts; the half spectrum (1 MiB) and the features (2 MiB) are
@@ -588,7 +566,7 @@ def test_global_prompt_is_one_node_matching_the_composite_chain(bsz, h, w, c):
     w0 = [rng.uniform(-1.0, 1.0, (2 * c, c)) / np.sqrt(2 * c) for _ in range(3)]
     g = rng.standard_normal((bsz, h * w, c))
     if h * w > 1024:
-        feats = spectral_features_raw(x0, h, w)
+        feats = spectral_features(x0, h, w).data
         cuts = _split_cuts(feats @ w0[0], feats @ w0[1], 1.0 / np.sqrt(c))
         assert all(cut is not None for cut in cuts)
     results = []
@@ -629,16 +607,8 @@ def test_global_prompt_node_keeps_the_half_spectrum_output_and_log_sum_exp():
     )
     assert half.tobytes() == grid_half_spectrum(x.data, h, w).tobytes()
     assert half.shape == (bsz, h, w // 2 + 1, c)
-    assert unfold_features(half, w).tobytes() == spectral_features_raw(x.data, h, w).tobytes()
+    assert unfold_features(half, w).tobytes() == spectral_features(x, h, w).data.tobytes()
     assert lse.shape == (bsz, h * w, 1)
-
-
-def test_attention_rejects_mismatched_operands():
-    q = Tensor(np.zeros((1, 4, 3)))
-    with pytest.raises(DimensionError):
-        attention(q, Tensor(np.zeros((1, 4, 2))), q, 1.0)
-    with pytest.raises(DimensionError):
-        attention(q, q, Tensor(np.zeros((1, 5, 3))), 1.0)
 
 
 def _global_prompt_at_128_grid(traced_peak, weights):

@@ -53,12 +53,6 @@ def test_grad_accumulates_across_branches():
     assert x.grad[0] == 5.0
 
 
-def test_detach_blocks_gradient():
-    x = Tensor(np.array([2.0]), requires_grad=True)
-    (x.detach() * x).sum().backward()
-    assert x.grad[0] == 2.0  # only the live branch contributes
-
-
 def test_matmul_shape_error_names_both_operands():
     a = Tensor(np.zeros((2, 3)))
     b = Tensor(np.zeros((4, 5)))

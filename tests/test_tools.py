@@ -1,5 +1,7 @@
-"""The scripts under ``tools/`` run against the package in ``src``."""
+"""The scripts under ``tools/`` run against the package in ``src``, and
+``src`` defines only what the program reaches."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -46,3 +48,49 @@ def test_every_name_the_bench_traces_resolves_in_promptscan():
     for module, cls, name, *_ in spans.METHODS:
         owner = getattr(importlib.import_module(f"promptscan.{module}"), cls, None)
         assert callable(getattr(owner, name, None)), f"{cls}.{name}"
+
+
+def _defined_public_names(tree):
+    """The public functions and classes a module defines at its top
+    level, and the public methods of those classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs[:2]) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}"
+
+
+def _used_names(tree):
+    """Every name, attribute and import alias a module reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+            if node.asname:
+                yield node.asname
+
+
+def test_every_public_name_in_src_is_used_outside_the_tests():
+    """A function, class or method of ``promptscan`` that no module of
+    the program, demo, bench or tool names is reached only from tests;
+    such oracles belong in ``tests/``. Matching is by name alone, so a
+    method escapes when anything else of its name is used."""
+    program = sorted((ROOT / "src" / "promptscan").glob("*.py"))
+    files = program + [
+        f for d in ("demos", "perfbench", "tools") for f in sorted((ROOT / d).glob("*.py"))
+    ]
+    trees = {f: ast.parse(f.read_text(encoding="utf-8"), str(f)) for f in files}
+    used = {name for tree in trees.values() for name in _used_names(tree)}
+    unused = [
+        f"{f.stem}.{name}"
+        for f in program
+        for name in _defined_public_names(trees[f])
+        if name.rsplit(".", 1)[-1] not in used
+    ]
+    assert unused == []
