@@ -23,18 +23,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, DimensionError
 from .fft import fft2d
 from .resize import resample
-from .tensor import (
-    Tensor,
-    absolute,
-    astensor,
-    atan2,
-    conv2d,
-    cos,
-    relu,
-    sigmoid,
-    sin,
-    tmean,
-)
+from .tensor import Tensor, absolute, astensor, conv2d, sigmoid, tmean
 
 # bins whose magnitude falls below this have no meaningful phase
 PHASE_EPS = 1e-8
@@ -96,10 +85,9 @@ def thermal_mask(hr, gate_k: Tensor, gate_b: Tensor, extractor: FeatureExtractor
         raise ContractError(
             f"image {h}x{w} too small for a {red}x feature reduction"
         )
-    feat = Tensor(hr.data.reshape(bsz, h, w, 1) * (1.0 / 255.0))
+    feat = hr.data.reshape(bsz, h, w, 1) * (1.0 / 255.0)
     for k, b in zip(extractor.kernels, extractor.biases):
-        feat = relu(conv2d(feat, k, 1, b))
-        feat = feat[:, ::2, ::2]
+        feat = np.maximum(conv2d(feat, k, 1, b).data[:, ::2, ::2], 0.0)
     gate = conv2d(feat, gate_k, 0, gate_b)
     gate = gate.reshape(bsz, 1, *gate.shape[1:3])
     return resample(sigmoid(gate), h, w, kind="linear", antialias=False)
@@ -110,12 +98,20 @@ def uniform_mask(hr) -> Tensor:
     return Tensor(np.ones_like(astensor(hr).data))
 
 
+def _wrap_phase(d: Tensor) -> Tensor:
+    """The angle ``d`` wrapped into [-pi, pi] as atan2(sin d, cos d), one
+    node: off the (measure-zero) wrap points its derivative is 1, so the
+    vjp hands the cotangent on unchanged and keeps no array."""
+    dd = d.data
+    return Tensor._from_op(np.arctan2(np.sin(dd), np.cos(dd)), (d,), lambda g: (g,))
+
+
 def phase_loss(sr, hr) -> Tensor:
     """Mean absolute wrapped phase difference over confident bins.
 
-    The raw angle difference is discontinuous at +-pi; wrapping it
-    through atan2(sin d, cos d) keeps the loss continuous with unit
-    gradient everywhere except the (measure-zero) wrap point. Bins where
+    The raw angle difference is discontinuous at +-pi; wrapping it keeps
+    the loss continuous with unit gradient everywhere except the
+    (measure-zero) wrap point (:func:`_wrap_phase`). Bins where
     either spectrum's magnitude falls below ``PHASE_EPS`` carry
     numerically meaningless angles and are excluded from the mean; the
     mask multiplies the loss, so their cotangent is already 0 when the
@@ -126,7 +122,7 @@ def phase_loss(sr, hr) -> Tensor:
         raise DimensionError(f"shape mismatch: {tuple(sr.shape)} vs {tuple(hr.shape)}")
     fs, fh = fft2d(sr), fft2d(hr)
     d = fs.phase() - fh.phase()
-    wrapped = atan2(sin(d), cos(d))
+    wrapped = _wrap_phase(d)
     ps, ph = fs.planes.data, fh.planes.data
     keep = (np.hypot(ps[..., 0], ps[..., 1]) >= PHASE_EPS) & (
         np.hypot(ph[..., 0], ph[..., 1]) >= PHASE_EPS

@@ -204,18 +204,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -225,14 +213,8 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, *shape):
         return reshape(self, *shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
 
 def astensor(x) -> Tensor:
@@ -292,73 +274,11 @@ def mul(a, b) -> Tensor:
     )
 
 
-def div(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    sa, sb = a.shape, b.shape
-    ad, bd = a.data, b.data
-    return Tensor._from_op(
-        ad / bd,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / bd, sa),
-            _unbroadcast(-g * ad / (bd * bd), sb),
-        ),
-    )
-
-
-def neg(a) -> Tensor:
-    a = astensor(a)
-    return Tensor._from_op(-a.data, (a,), lambda g: (-g,))
-
-
-def power(a, exponent: float) -> Tensor:
-    a = astensor(a)
-    e = float(exponent)
-    ad = a.data
-    return Tensor._from_op(ad**e, (a,), lambda g: (g * e * ad ** (e - 1.0),))
-
-
-def exp(a) -> Tensor:
-    a = astensor(a)
-    out = np.exp(a.data)
-    return Tensor._from_op(out, (a,), lambda g: (g * out,))
-
-
-def log(a) -> Tensor:
-    a = astensor(a)
-    ad = a.data
-    return Tensor._from_op(np.log(ad), (a,), lambda g: (g / ad,))
-
-
-def sqrt(a) -> Tensor:
-    a = astensor(a)
-    out = np.sqrt(a.data)
-    return Tensor._from_op(out, (a,), lambda g: (g * 0.5 / out,))
-
-
-def sin(a) -> Tensor:
-    a = astensor(a)
-    ad = a.data
-    return Tensor._from_op(np.sin(ad), (a,), lambda g: (g * np.cos(ad),))
-
-
-def cos(a) -> Tensor:
-    a = astensor(a)
-    ad = a.data
-    return Tensor._from_op(np.cos(ad), (a,), lambda g: (-g * np.sin(ad),))
-
-
 def absolute(a) -> Tensor:
     # subgradient at 0 is taken as 0
     a = astensor(a)
     ad = a.data
     return Tensor._from_op(np.abs(ad), (a,), lambda g: (g * np.sign(ad),))
-
-
-def relu(a) -> Tensor:
-    a = astensor(a)
-    ad = a.data
-    return Tensor._from_op(np.maximum(ad, 0.0), (a,), lambda g: (g * (ad > 0),))
 
 
 def _exp_neg_abs(x):
@@ -393,48 +313,11 @@ def _softplus(x):
     return out
 
 
-def softplus(a) -> Tensor:
-    """log(1 + e^x), computed stably; its derivative, the sigmoid, is
-    formed in the vjp, so the node keeps no array of its own."""
-    a = astensor(a)
-    ad = a.data
-    return Tensor._from_op(_softplus(ad), (a,), lambda g: (g * _sigmoid(ad),))
-
-
 def _silu_grad(g, x, s):
     """The cotangent of x for the cotangent ``g`` of x * s, s = sigmoid(x):
     the two terms of the product rule, added in the order the product's
     own nodes would."""
     return g * s + g * x * s * (1.0 - s)
-
-
-def silu(a) -> Tensor:
-    """x * sigmoid(x), one node that keeps only its input: the vjp forms
-    the sigmoid again."""
-    a = astensor(a)
-    ad = a.data
-    return Tensor._from_op(
-        ad * _sigmoid(ad), (a,), lambda g: (_silu_grad(g, ad, _sigmoid(ad)),)
-    )
-
-
-def atan2(y, x) -> Tensor:
-    """Four-quadrant arctangent in (-pi, pi].
-
-    The gradient at the origin is defined as 0: the angle is meaningless
-    there.
-    """
-    y, x = astensor(y), astensor(x)
-    yd, xd = y.data, x.data
-    r2 = yd * yd + xd * xd
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(r2 > 0.0, 1.0 / r2, 0.0)
-    inv = np.where(np.isfinite(inv), inv, 0.0)
-    return Tensor._from_op(
-        np.arctan2(yd, xd),
-        (y, x),
-        lambda g: (g * xd * inv, -g * yd * inv),
-    )
 
 
 # -- reductions -----------------------------------------------------------
@@ -486,15 +369,6 @@ def reshape(a, *shape) -> Tensor:
         shape = tuple(shape[0])
     before = a.shape
     return Tensor._from_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(before),))
-
-
-def transpose(a, axes) -> Tensor:
-    a = astensor(a)
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return Tensor._from_op(
-        a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),)
-    )
 
 
 def index(a, key) -> Tensor:
@@ -560,19 +434,6 @@ def _linear_grads(g, a, w, b_shape):
     return g @ w.T, _unbroadcast(gw, w.shape), _unbroadcast(g, b_shape)
 
 
-def linear(a, w, b) -> Tensor:
-    """``a @ w + b``, one node: the bias is added in place on the product.
-
-    Every value and gradient is the one ``matmul(a, w) + b`` gives.
-    """
-    a, w, b = astensor(a), astensor(w), astensor(b)
-    _check_linear(a.shape, w.shape, b.shape)
-    ad, wd, sb = a.data, w.data, b.shape
-    return Tensor._from_op(
-        _affine(ad, wd, b.data), (a, w, b), lambda g: _linear_grads(g, ad, wd, sb)
-    )
-
-
 def linear_silu_linear(x, w1, b1, w2, b2) -> Tensor:
     """``linear(silu(linear(x, w1, b1)), w2, b2)`` as one node.
 
@@ -604,20 +465,6 @@ def linear_silu_linear(x, w1, b1, w2, b2) -> Tensor:
         return gx, gw1, gb1, gw2, gb2
 
     return Tensor._from_op(out, (x, w1, b1, w2, b2), vjp)
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``; rows sum to one."""
-    a = astensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return Tensor._from_op(out, (a,), vjp)
 
 
 def _check_layer_norm(sx, sgamma, sbeta):
@@ -659,25 +506,6 @@ def _layer_norm_grads(g, xhat, inv, gamma):
         - xhat * (d * xhat).mean(axis=-1, keepdims=True)
     )
     return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
-
-
-def layer_norm(x, gamma, beta) -> Tensor:
-    """Normalize each token over the trailing channel axis (eps 1e-5), then affine.
-
-    One node that keeps xhat and inv. With xhat = (x - mean) * inv and
-    d = g * gamma, the adjoint is dx = inv * (d - mean(d) - xhat *
-    mean(d * xhat)), dgamma = sum(g * xhat) and dbeta = sum(g) over the
-    leading axes.
-    """
-    x, gamma, beta = astensor(x), astensor(gamma), astensor(beta)
-    _check_layer_norm(x.shape, gamma.shape, beta.shape)
-    xhat, inv = _normalize(x.data)
-    gd = gamma.data
-    return Tensor._from_op(
-        _scale_shift(xhat, gd, beta.data),
-        (x, gamma, beta),
-        lambda g: _layer_norm_grads(g, xhat, inv, gd),
-    )
 
 
 def layer_norm_linear(x, gamma, beta, w, b) -> Tensor:

@@ -132,15 +132,15 @@ def test_eval_non_finite_output_is_runtime_error(tmp_path, dataset, monkeypatch)
 
 
 def test_gradcheck_filtered():
-    rc, stdout, _ = _run(["gradcheck", "--module", "softmax", "--instances", "2"])
+    rc, stdout, _ = _run(["gradcheck", "--module", "matmul", "--instances", "2"])
     assert rc == 0
-    assert "softmax" in stdout and "ok" in stdout
+    assert "matmul" in stdout and "ok" in stdout
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_gradcheck_with_no_instances_is_usage_error(count):
     """A check over zero instances would report ok having checked nothing."""
-    rc, stdout, err = _run(["gradcheck", "--module", "softmax", "--instances", count])
+    rc, stdout, err = _run(["gradcheck", "--module", "matmul", "--instances", count])
     assert rc == 2
     assert stdout == ""
     assert "--instances" in err and "at least 1" in err
@@ -149,7 +149,7 @@ def test_gradcheck_with_no_instances_is_usage_error(count):
 @pytest.mark.parametrize("count", [0, -1])
 def test_run_suite_rejects_fewer_than_one_instance(count):
     with pytest.raises(ConfigError, match="at least 1"):
-        run_suite(only="softmax", instances=count)
+        run_suite(only="matmul", instances=count)
 
 
 @pytest.mark.parametrize("count", ["0", "-2"])

@@ -3,9 +3,9 @@ import pytest
 
 from promptscan import fft
 from promptscan.fft import ComplexSpectrum, fft2d, fft2d_raw
-from promptscan.tensor import Tensor, reshape, transpose
+from promptscan.tensor import Tensor, reshape
 
-from oracles import spectral_features
+from oracles import spectral_features, transpose
 
 SIZES = ((4, 4), (7, 5), (8, 8), (16, 16))
 

@@ -14,9 +14,9 @@ from promptscan.prompts import (
     route_tokens,
 )
 from promptscan.fft import fft2d, grid_half_spectrum, unfold_features
-from promptscan.tensor import Tensor, matmul, reshape, softmax, transpose
+from promptscan.tensor import Tensor, matmul, reshape
 
-from oracles import attention, spectral_features
+from oracles import attention, softmax, spectral_features, transpose
 
 
 def make_pool(t=4, c=3, seed=0, temperature=1.0):

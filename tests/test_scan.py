@@ -12,7 +12,9 @@ from promptscan.scan import (
     stable_a_log_init,
     zoh_decay,
 )
-from promptscan.tensor import Tensor, exp, neg, softplus
+from promptscan.tensor import Tensor
+
+from oracles import exp, neg, softplus
 
 
 def recurrence_oracle(x, a, b, c):

@@ -175,11 +175,13 @@ def _desk_train_loss():
 
 
 def test_desk_train_forward_tape_holds_only_what_its_vjps_read(tape_objects, tape_bytes):
-    """The desk train loss records 93 nodes whose vjps saved 12.4 MiB of
-    distinct arrays, 11.9 MiB of live traced arrays. With four nodes per
-    router (noise add, 1/tau scale, softmax, one-hot) it recorded 105
-    nodes, and with a transpose pair per block between NCHW feature maps
-    and tokens 107, saving the same arrays. With three nodes per
+    """The desk train loss records 91 nodes whose vjps saved 12.29 MiB of
+    distinct arrays, 11.80 MiB of live traced arrays. With the phase wrap
+    as three nodes (sin, cos, atan2) it recorded 93 nodes that saved
+    12.42 MiB (11.93 live). With four nodes per router (noise add, 1/tau
+    scale, softmax, one-hot) it recorded 105 nodes, and with a transpose
+    pair per block between NCHW feature maps and tokens 107, saving the
+    same arrays. With three nodes per
     gated projection (linear, silu, linear) and two per head (layer_norm,
     linear), and the global prompt keeping its unfolded features, 119
     nodes saved 16.3 MiB (15.8 live). With the global prompt as five
@@ -199,7 +201,7 @@ def test_desk_train_forward_tape_holds_only_what_its_vjps_read(tape_objects, tap
         live = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert sum(t._vjp is not None for t in tape_objects(loss)) == 93
+    assert sum(t._vjp is not None for t in tape_objects(loss)) == 91
     saved = tape_bytes(loss)
     kinds = ", ".join(
         f"{kind} {n / 2**20:.2f}" for kind, n in sorted(saved.items(), key=lambda kv: -kv[1])
@@ -220,7 +222,7 @@ def test_desk_train_tape_keeps_no_tensor_but_its_leaves(tape_objects):
     loss = _desk_train_loss()()
     objects = tape_objects(loss)
     records = [t for t in objects if t._vjp is not None]
-    assert len(records) == 93
+    assert len(records) == 91
     holding = sorted(
         {
             t._vjp.__qualname__
