@@ -357,7 +357,7 @@ def _mk_selective_scan(rng, _i):
     return forward, [x, a, b, cr, pf]
 
 
-def _mk_derive_params(rng, _i):
+def _mk_zoh_gate_slices(rng, _i):
     c, t = 3, 4
     x_in = _leaf(rng, (2, 5, 3 * c + t))
     a_log = _leaf(rng, (c,), -1.5, 0.5)
@@ -499,7 +499,7 @@ _CHECKS = (
     ("resample", _mk_resample, _PRIMITIVE),
     ("gated-recurrence", _mk_recurrence, _PRIMITIVE),
     ("selective-scan", _mk_selective_scan, _PRIMITIVE),
-    ("derive-ssm-params", _mk_derive_params, _PRIMITIVE),
+    ("zoh-decay-gate-slices", _mk_zoh_gate_slices, _PRIMITIVE),
     ("route-soft", _mk_route_soft, _PRIMITIVE),
     ("global-prompt", _mk_global_prompt, _PRIMITIVE),
     ("thermal-gate", _mk_thermal_gate, _PRIMITIVE),

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, DimensionError
 from .prompts import GlobalPromptParams, PromptPool, global_prompt, route_tokens
 from .resize import resample
-from .scan import gated_recurrence, semantic_order, stable_a_log_init, zoh_decay
+from .scan import A_LOG_INIT, gated_recurrence, semantic_order, zoh_decay
 from .tensor import (
     Tensor,
     astensor,
@@ -176,7 +176,7 @@ def build_model(cfg: ModelConfig) -> ModelParams:
                     b_mlp=_zeros(c),
                     w_in=w_in,
                     b_in=_zeros(w_in.shape[1]),
-                    a_log=Tensor(np.full(c, stable_a_log_init(0.9)), requires_grad=True),
+                    a_log=Tensor(np.full(c, A_LOG_INIT), requires_grad=True),
                     pool=_only_if(
                         fused,
                         PromptPool(
@@ -263,7 +263,6 @@ def asf_ssm_forward(
     h: int,
     w: int,
     mode: ForwardMode | None = None,
-    trace: dict | None = None,
 ) -> Tensor:
     """One prompt-guided scan module over a (B, N, C) token sequence.
 
@@ -278,8 +277,7 @@ def asf_ssm_forward(
     node each. The global prompt reads only ``x``, so it runs first,
     while nothing else is alive, and each later intermediate is dropped
     after its last reader, so that without a tape only the scan's own
-    operands are alive during the scan. ``trace`` collects copies of the
-    published intermediates for fixture comparison.
+    operands are alive during the scan.
     """
     mode = mode or ForwardMode()
     x = astensor(x)
@@ -296,8 +294,6 @@ def asf_ssm_forward(
         raise DimensionError(
             f"packed projection has {x_in.shape[-1]} channels, expected {what} = {width}"
         )
-    if trace is not None:
-        trace["x_in"] = x_in.data.copy()
     a_decay = zoh_decay(x_in, c, mp.a_log)
     b_in = x_in[..., c : 2 * c]
     c_s = x_in[..., 2 * c : 3 * c]
@@ -312,22 +308,13 @@ def asf_ssm_forward(
         p_fused = p_spatial + p_global
         if mode.route == "hard":
             order = semantic_order(route)
-        if trace is not None:
-            trace["route"] = route.data.copy()
-            trace["p_spatial"] = p_spatial.data.copy()
-            trace["p_global"] = p_global.data.copy()
-            trace["p_fused"] = p_fused.data.copy()
-            trace["perm"] = None if order is None else order.perm.copy()
         del route, p_spatial, p_global
         c_s = c_s + p_fused
         del p_fused
 
-    y = gated_recurrence(x, a_decay, b_in, c_s, order=order, trace=trace)
+    y = gated_recurrence(x, a_decay, b_in, c_s, order=order)
     del a_decay, b_in, c_s
-    out = layer_norm_linear(y, mp.ln_g, mp.ln_b, mp.w_out, mp.b_out)
-    if trace is not None:
-        trace["out"] = out.data.copy()
-    return out
+    return layer_norm_linear(y, mp.ln_g, mp.ln_b, mp.w_out, mp.b_out)
 
 
 def asf_ssb_forward(

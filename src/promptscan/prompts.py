@@ -181,10 +181,11 @@ def _probs(qa_blk, kat_tile, buf):
 
 
 def _far_split(sq, kn, c, cv):
-    """The cheapest near/far split of one batch element's pairs, or None
-    when the tiled loop alone is cheapest: the keys' order by norm, the
-    heavy rows, and the light rows in chunks, each with its cut: the
-    number of smallest keys it takes as far.
+    """The cheapest near/far split of one batch element's pairs: the
+    keys' order by norm, the heavy rows, and the light rows in chunks,
+    each with its cut: the number of smallest keys it takes as far. When
+    the tiled loop alone is cheapest, every row is heavy, no chunk is
+    left, and the order is None, as nothing reads it.
 
     Row i could take as far the f_i smallest keys, those with
     sq_i * kn_j <= t, so that each such score is within the series'
@@ -203,10 +204,11 @@ def _far_split(sq, kn, c, cv):
     qualify, so those rows stay heavy and those keys near.
     """
     nq, nk = sq.size, kn.size
+    every_row_heavy = None, np.arange(nq), []
     pair = 2 * (c + 1) + 2 * (cv + 1) + _EXP_FLOPS
     far = _far_width(c) * (2 * (cv + 1) + _FEATURE_FLOPS)
     if far * (nq + nk) >= pair * nq * nk:  # all rows light, all keys far
-        return None
+        return every_row_heavy
     order = np.argsort(kn, kind="stable")  # non-finite norms sort last
     keys = kn[order[: np.count_nonzero(np.isfinite(kn))]]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -220,7 +222,7 @@ def _far_split(sq, kn, c, cv):
     sizes = np.minimum(rows, light.size - np.arange(0, light.size, rows))
     exact = heavy.size * nk + sizes @ (nk - cuts)
     if pair * exact + far * (light.size + cuts.max(initial=0)) >= pair * nq * nk:
-        return None
+        return every_row_heavy
     return order, heavy, list(zip(np.split(light, range(rows, light.size, rows)), cuts))
 
 
@@ -322,12 +324,13 @@ def _attention_forward(q, k, v, scale):
     that simply add. The scale and the shift ride in the score GEMM
     through one extra contraction column, [scale * q, -m] @ [k^T; 1] =
     s - m. Each batch element takes the near/far split ``_far_split``
-    chooses: heavy rows run the tiled loop over all keys, light rows run
-    it over their near keys and a certified degree-2 series over their
-    far ones (the linear attention of Katharopoulos et al. 2020 with the
-    feature map of Arora et al. 2024, split near/far as in Greengard &
-    Rokhlin 1987). All parts share one buffer of ``_ATTN_BLOCK_ELEMS``
-    values, so memory is linear in the token count.
+    chooses: heavy rows (every row, when no split pays) run the tiled
+    loop over all keys in gathered chunks, light rows run it over their
+    near keys and a certified degree-2 series over their far ones (the
+    linear attention of Katharopoulos et al. 2020 with the feature map
+    of Arora et al. 2024, split near/far as in Greengard & Rokhlin
+    1987). All parts share one buffer of ``_ATTN_BLOCK_ELEMS`` values,
+    so memory is linear in the token count.
 
     A row whose total underflows (below 1e-200: the bound overshoots its
     true max by about 460 or more, which needs extreme logits) or is NaN
@@ -338,16 +341,12 @@ def _attention_forward(q, k, v, scale):
     sq = abs(scale) * np.linalg.norm(q, axis=-1)
     kn = np.linalg.norm(k, axis=-1)
     shift = sq[..., None] * kn.max(axis=1)[:, None, None]
-    splits = [_far_split(sq[b], kn[b], c, v.shape[2]) for b in range(bsz)]
     out = np.empty(q.shape[:2] + v.shape[2:])
     total = np.empty(q.shape[:2])
     buf = np.empty(_ATTN_BLOCK_ELEMS)
-    for b, split in enumerate(splits):
+    for b in range(bsz):
         qb, kb, vb, ob, tb = q[b], k[b], v[b], out[b], total[b]
-        if split is None:  # every row heavy: the tiled loop on the element's rows
-            _exact_sums(_augment(qb * scale, -shift[b]), _augment_t(kb), vb, buf, ob, tb)
-            continue
-        order, heavy, chunks = split
+        order, heavy, chunks = _far_split(sq[b], kn[b], c, v.shape[2])
         if heavy.size:  # else no [k, 1] copy of all keys is built
             _row_sums(qb, scale, shift[b], heavy, _augment_t(kb), vb, None, buf, ob, tb)
         # the chunks' cuts grow, and the far keys' moments with them by

@@ -113,18 +113,14 @@ def _gather(a, idx):
     return a[np.arange(a.shape[0])[:, None], idx]
 
 
-def gated_recurrence(
-    x, a, b, c, trace: dict | None = None, order: SemanticOrder | None = None
-) -> Tensor:
+def gated_recurrence(x, a, b, c, order: SemanticOrder | None = None) -> Tensor:
     """The raw scan: all operands (B, N, C), returns y of the same shape.
 
     With an ``order`` the recurrence visits the tokens in the order
     ``order.perm``, and y[:, t] still belongs to input token t: the
     recurrences gather their inputs into scan order and their states
-    back, and the node keeps only the scan-order states. Passing a dict
-    as ``trace`` stores copies of the scan-order gate ``c_s``, state
-    trajectory ``h`` and gated output ``y``, and of the outputs in input
-    order, ``y_tokens``, for inspection.
+    back, and the node keeps only the scan-order states, the ones
+    ``_linear_scan`` returns.
     """
     x, a, b, c = astensor(x), astensor(a), astensor(b), astensor(c)
     if x.ndim != 3:
@@ -147,11 +143,6 @@ def gated_recurrence(
     h = _linear_scan(a_scan, _gather(bd * xd, perm))
     del a_scan  # now running decay products, which nothing reads
     y = cd * _gather(h, inv)
-    if trace is not None:
-        trace["c_s"] = cd.copy() if perm is None else _gather(cd, perm)
-        trace["h"] = h.copy()
-        trace["y"] = trace["c_s"] * h
-        trace["y_tokens"] = y.copy()
 
     def vjp(g):
         # only the adjoint recurrence runs in scan order; each cotangent is
@@ -204,11 +195,9 @@ def zoh_decay(x_in, c: int, a_log) -> Tensor:
     return Tensor._from_op(a, (x_in, a_log), vjp)
 
 
-def stable_a_log_init(target: float = 0.9) -> float:
-    """a_log value giving a_decay = target at the softplus(0) timescale."""
-    if not 0 < target < 1:
-        raise ContractError("decay target must be in (0, 1)")
-    return float(np.log(-np.log(target) / np.log(2.0)))
+# the a_log at which the decay is 0.9 at the softplus(0) = ln 2 timescale:
+# exp(ln 2 * -exp(a_log)) = 0.9
+A_LOG_INIT = float(np.log(-np.log(0.9) / np.log(2.0)))
 
 
 # -- semantic ordering --------------------------------------------------

@@ -210,8 +210,8 @@ class Tensor:
     def __getitem__(self, key):
         return index(self, key)
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
+    def sum(self):
+        return tsum(self)
 
     def reshape(self, *shape):
         return reshape(self, *shape)
@@ -323,41 +323,22 @@ def _silu_grad(g, x, s):
 # -- reductions -----------------------------------------------------------
 
 
-def _norm_axis(axis, ndim):
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a) -> Tensor:
+    """The sum of every entry, a 0-d tensor."""
     a = astensor(a)
-    axes = _norm_axis(axis, a.ndim)
     shape = a.shape
-    out = a.data.sum(axis=axes, keepdims=keepdims)
-
-    def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return Tensor._from_op(np.asarray(out), (a,), vjp)
+    return Tensor._from_op(
+        np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, shape).copy(),)
+    )
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a) -> Tensor:
+    """The mean of every entry, a 0-d tensor."""
     a = astensor(a)
-    axes = _norm_axis(axis, a.ndim)
-    shape = a.shape
-    count = int(np.prod([shape[i] for i in axes])) if a.ndim else 1
-    out = a.data.mean(axis=axes, keepdims=keepdims)
-
-    def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, shape).copy() / count,)
-
-    return Tensor._from_op(np.asarray(out), (a,), vjp)
+    shape, count = a.shape, a.size
+    return Tensor._from_op(
+        np.asarray(a.data.mean()), (a,), lambda g: (np.broadcast_to(g, shape).copy() / count,)
+    )
 
 
 # -- shape manipulation ----------------------------------------------------

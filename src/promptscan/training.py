@@ -126,7 +126,8 @@ def train_loop(pairs, cfg: RunConfig, out_dir, progress=None) -> TrainResult:
     """Run the full training schedule; returns the trained parameters.
 
     Writes ``train_log.tsv`` (deterministic bytes) and a rolling
-    ``checkpoint.bin`` every ckpt_every steps plus at the end. A
+    ``checkpoint.bin`` every ckpt_every steps and after the last step,
+    once when the two coincide. A
     non-finite loss or gradient aborts without touching the last good
     checkpoint. ``progress``, when given a text stream, receives
     human-oriented per-step lines including wall time; those never go
@@ -188,7 +189,8 @@ def train_loop(pairs, cfg: RunConfig, out_dir, progress=None) -> TrainResult:
                     f"({dt:.0f} ms)",
                     file=progress,
                 )
-    save_checkpoint(ckpt_path, params, cfg.model)
+    if cfg.train.steps % cfg.train.ckpt_every:  # else the last step has just saved
+        save_checkpoint(ckpt_path, params, cfg.model)
     return TrainResult(
         params=params, cfg=cfg, log_path=log_path, ckpt_path=ckpt_path,
         steps_run=cfg.train.steps,

@@ -4,6 +4,8 @@ import types
 import numpy as np
 import pytest
 
+from promptscan import network, scan, tensor
+
 
 def _traced_peak(fn):
     """``fn()``'s result and the peak bytes tracemalloc traced while it ran."""
@@ -78,3 +80,44 @@ def _tape_bytes(root):
 def tape_bytes():
     """``_tape_bytes``, for the tests that size what a tape keeps."""
     return _tape_bytes
+
+
+@pytest.fixture
+def module_stages(monkeypatch):
+    """A dict that a module forward run under the fixture fills with
+    copies of its stages, each from the call that makes it: the packed
+    projection ``x_in``, ``route``, the spatial prompt ``p_spatial`` (the
+    module's one ``matmul``), ``p_global``, ``p_fused`` (its first
+    ``add``), the permutation ``perm``, the scan-order gate ``c_s`` and
+    states ``h`` (what ``scan._linear_scan`` returns), the scan-order
+    output ``y`` = c_s * h and the scan's output in token order,
+    ``y_tokens``. A stage keeps its first value; one the forward does
+    not make stays absent."""
+    stages = {}
+
+    def spy(owner, name, record):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            for stage, value in record(args, kwargs, out).items():
+                stages.setdefault(stage, value.copy())
+            return out
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def scanned(args, kwargs, out):
+        c, order = args[3].data, kwargs.get("order")
+        if order is not None:
+            c = np.take_along_axis(c, order.perm[..., None], 1)
+        return {"c_s": c, "y": c * stages["h"], "y_tokens": out.data}
+
+    spy(network, "linear_silu_linear", lambda args, kwargs, out: {"x_in": out.data})
+    spy(network, "route_tokens", lambda args, kwargs, out: {"route": out.data})
+    spy(network, "global_prompt", lambda args, kwargs, out: {"p_global": out.data})
+    spy(network, "semantic_order", lambda args, kwargs, out: {"perm": out.perm})
+    spy(tensor, "matmul", lambda args, kwargs, out: {"p_spatial": out.data})
+    spy(tensor, "add", lambda args, kwargs, out: {"p_fused": out.data})
+    spy(scan, "_linear_scan", lambda args, kwargs, out: {"h": out})
+    spy(network, "gated_recurrence", scanned)
+    return stages

@@ -389,14 +389,14 @@ def _np_softmax(v):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def test_c09_module_fixture():
+def test_c09_module_fixture(module_stages):
     cfg = desk_config(channels=2, blocks=1, modules_per_block=1, pool_size=2, scale=2)
     mp = build_model(cfg).blocks[0].modules[0]
     x = np.random.default_rng(2).standard_normal((1, 4, 2))  # tokens of a 2x2 grid
 
-    trace = {}
-    asf_ssm_forward(Tensor(x.copy()), mp, cfg, 2, 2,
-                    mode=ForwardMode(train=False, route="hard"), trace=trace)
+    out = asf_ssm_forward(Tensor(x.copy()), mp, cfg, 2, 2,
+                          mode=ForwardMode(train=False, route="hard"))
+    seen = module_stages
 
     C = 2
     trunk = x @ mp.w_mlp.data + mp.b_mlp.data
@@ -453,19 +453,19 @@ def test_c09_module_fixture():
     y_out = normed @ mp.w_out.data + mp.b_out.data
 
     stages = {
-        "L": (trace["x_in"][..., 3 * C :], logits),
-        "route": (trace["route"], route),
-        "p_spatial": (trace["p_spatial"], p_spatial),
-        "p_global": (trace["p_global"], p_global),
-        "p_fused": (trace["p_fused"], p_fused),
-        "c_s": (trace["c_s"], cs[None]),
-        "h": (trace["h"], hseq[None]),
-        "y": (trace["y"], yseq[None]),
-        "y_tokens": (trace["y_tokens"], y_tokens),
-        "out": (trace["out"], y_out),
+        "L": (seen["x_in"][..., 3 * C :], logits),
+        "route": (seen["route"], route),
+        "p_spatial": (seen["p_spatial"], p_spatial),
+        "p_global": (seen["p_global"], p_global),
+        "p_fused": (seen["p_fused"], p_fused),
+        "c_s": (seen["c_s"], cs[None]),
+        "h": (seen["h"], hseq[None]),
+        "y": (seen["y"], yseq[None]),
+        "y_tokens": (seen["y_tokens"], y_tokens),
+        "out": (out.data, y_out),
     }
     errs = {name: float(np.max(np.abs(got - want))) for name, (got, want) in stages.items()}
-    perm_ok = np.array_equal(trace["perm"], perm)
+    perm_ok = np.array_equal(seen["perm"], perm)
     worst = max(errs.values())
     ok = perm_ok and worst <= 1e-12
     _report(9, f"module fixture oracle (worst stage err {worst:.1e})", ok)

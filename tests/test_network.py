@@ -240,34 +240,33 @@ def test_untracked_module_holds_each_intermediate_only_until_its_last_reader(tra
     assert peak <= 8 * x.data.nbytes, f"peak {peak / 2**20:.2f} MiB"
 
 
-def test_traced_module_publishes_the_scan_in_scan_order():
+def test_traced_module_publishes_the_scan_in_scan_order(module_stages):
     cfg = desk_config()
     mp = build_model(cfg).blocks[0].modules[0]
     x = Tensor(np.random.default_rng(13).standard_normal((2, 64, cfg.channels)))
-    trace = {}
-    out = asf_ssm_forward(x, mp, cfg, 8, 8, trace=trace)
-    assert set(trace) == {
+    asf_ssm_forward(x, mp, cfg, 8, 8)
+    assert set(module_stages) == {
         "x_in", "route", "p_spatial", "p_global", "p_fused", "perm",
-        "c_s", "h", "y", "y_tokens", "out",
+        "c_s", "h", "y", "y_tokens",
     }
-    perm = trace["perm"][..., None]
+    stages = module_stages
+    perm = stages["perm"][..., None]
     assert np.any(perm[..., 0] != np.arange(64))
-    assert trace["y"].tobytes() == (trace["c_s"] * trace["h"]).tobytes()
-    assert trace["y"].tobytes() == np.take_along_axis(trace["y_tokens"], perm, 1).tobytes()
-    assert trace["out"].tobytes() == out.data.tobytes()
+    c = cfg.channels
+    gate = stages["x_in"][..., 2 * c : 3 * c] + stages["p_fused"]
+    assert stages["c_s"].tobytes() == np.take_along_axis(gate, perm, 1).tobytes()
+    assert stages["y"].tobytes() == np.take_along_axis(stages["y_tokens"], perm, 1).tobytes()
 
 
-def test_traced_module_without_prompts_publishes_only_the_scan():
+def test_traced_module_without_prompts_publishes_only_the_scan(module_stages):
     cfg = desk_config(prompts="off")
     mp = build_model(cfg).blocks[0].modules[0]
     x = Tensor(np.random.default_rng(13).standard_normal((2, 64, cfg.channels)))
-    trace = {}
-    out = asf_ssm_forward(x, mp, cfg, 8, 8, trace=trace)
-    assert set(trace) == {"x_in", "c_s", "h", "y", "y_tokens", "out"}
-    c = cfg.channels
-    assert trace["c_s"].tobytes() == trace["x_in"][..., 2 * c : 3 * c].tobytes()
-    assert trace["y"].tobytes() == trace["y_tokens"].tobytes()
-    assert trace["out"].tobytes() == out.data.tobytes()
+    asf_ssm_forward(x, mp, cfg, 8, 8)
+    assert set(module_stages) == {"x_in", "c_s", "h", "y", "y_tokens"}
+    stages, c = module_stages, cfg.channels
+    assert stages["c_s"].tobytes() == stages["x_in"][..., 2 * c : 3 * c].tobytes()
+    assert stages["y"].tobytes() == stages["y_tokens"].tobytes()
 
 
 def test_module_rejects_bad_token_shapes():

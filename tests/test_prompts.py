@@ -211,13 +211,13 @@ def test_attention_matches_composite_chain(monkeypatch, rows, tile):
 
 def _split_cuts(q, k, scale):
     """Per batch element: (light rows, far keys of the largest cut) of the
-    chosen split, or None."""
+    chosen split, or None when it has no chunk of light rows."""
     sq = abs(scale) * np.linalg.norm(q, axis=-1)
     kn = np.linalg.norm(k, axis=-1)
     cuts = []
     for b in range(q.shape[0]):
-        split = prompts._far_split(sq[b], kn[b], k.shape[-1], k.shape[-1])
-        cuts.append(split and (q.shape[1] - split[1].size, int(max(c for _, c in split[2]))))
+        _, heavy, chunks = prompts._far_split(sq[b], kn[b], k.shape[-1], k.shape[-1])
+        cuts.append((q.shape[1] - heavy.size, int(max(c for _, c in chunks))) if chunks else None)
     return cuts
 
 
@@ -509,6 +509,25 @@ def test_attention_score_block_counts_the_batch(traced_peak):
     scores = prompts._ATTN_BLOCK_ELEMS * 8
     # slack: row norms, shifts, block totals and numpy's ufunc buffers
     assert peak - kept <= scores + augmented + 2**19, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_attention_without_a_split_builds_no_augmented_query_copy(traced_peak):
+    """(1, 4096, 32) with unit-size entries, where no split pays: every
+    row is heavy and goes through the tiled loop in gathered chunks of
+    one score block, so the transient peak holds one score block and
+    [k, 1]^T but no [scale * q, -m] of all rows (2.73 MiB while it had
+    one, 1.92 MiB without)."""
+    rng = np.random.default_rng(18)
+    n, c = 4096, 32
+    q, k, v = rng.standard_normal((3, 1, n, c))
+    scale = 1.0 / np.sqrt(c)
+    assert _split_cuts(q, k, scale) == [None]
+    q, k, v = Tensor(q), Tensor(k), Tensor(v)
+    out, peak = traced_peak(lambda: attention(q, k, v, scale))
+    kept = out.data.nbytes + n * 8  # out and the per-row log-sum-exp
+    keys = n * (c + 1) * 8  # [k, 1]^T
+    scores = prompts._ATTN_BLOCK_ELEMS * 8
+    assert peak - kept <= scores + keys + 2**19, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_untracked_global_prompt_frees_the_spectrum_before_attention(monkeypatch, traced_peak):

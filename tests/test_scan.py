@@ -6,10 +6,10 @@ import pytest
 from promptscan.errors import ContractError, DimensionError, NumericalConsistencyError
 from promptscan.network import asf_ssm_forward, build_model, desk_config
 from promptscan.scan import (
+    A_LOG_INIT,
     SemanticOrder,
     gated_recurrence,
     semantic_order,
-    stable_a_log_init,
     zoh_decay,
 )
 from promptscan.tensor import Tensor
@@ -73,7 +73,7 @@ def test_recurrence_matches_scalar_oracle_across_chunks(n, low):
     assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_recurrence_with_exact_zero_decays():
+def test_recurrence_with_exact_zero_decays(module_stages):
     rng = np.random.default_rng(6)
     shape = (2, 40, 3)
     x, b, c = rng.standard_normal((3,) + shape)
@@ -81,11 +81,10 @@ def test_recurrence_with_exact_zero_decays():
     a[rng.uniform(size=shape) < 0.2] = 0.0
     a[:, [0, 7, 13, 14]] = 0.0
     ref = recurrence_oracle(x, a, b, c)
-    trace = {}
-    out = gated_recurrence(Tensor(x), Tensor(a), Tensor(b), Tensor(c), trace=trace).data
+    out = gated_recurrence(Tensor(x), Tensor(a), Tensor(b), Tensor(c)).data
     assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
     # a zero decay restarts the state from the current input alone
-    np.testing.assert_array_equal(trace["h"][a == 0.0], (b * x)[a == 0.0])
+    np.testing.assert_array_equal(module_stages["h"][a == 0.0], (b * x)[a == 0.0])
 
 
 def test_recurrence_vjp_matches_sequential_adjoint():
@@ -187,19 +186,19 @@ def test_zero_decay_cuts_every_earlier_gradient(t0):
     assert np.all(x.grad[:, t0:] != 0.0)
 
 
-def test_trace_records_state_trajectory():
+def test_trace_records_state_trajectory(module_stages):
     rng = np.random.default_rng(1)
     shape = (1, 5, 2)
     x, b, c = rng.standard_normal((3,) + shape)
     a = rng.uniform(-0.9, 0.9, shape)
-    trace = {}
-    out = gated_recurrence(Tensor(x), Tensor(a), Tensor(b), Tensor(c), trace=trace).data
-    assert trace["h"].shape == shape
-    np.testing.assert_allclose(trace["y"], out, atol=0)
+    out = gated_recurrence(Tensor(x), Tensor(a), Tensor(b), Tensor(c)).data
+    h = module_stages["h"]
+    assert h.shape == shape
+    np.testing.assert_allclose(c * h, out, atol=0)
     # replaying the recurrence from the stored states must be consistent
     for t in range(1, 5):
         np.testing.assert_allclose(
-            trace["h"][:, t], a[:, t] * trace["h"][:, t - 1] + b[:, t] * x[:, t], atol=1e-15
+            h[:, t], a[:, t] * h[:, t - 1] + b[:, t] * x[:, t], atol=1e-15
         )
 
 
@@ -359,9 +358,7 @@ def test_derive_rejects_wrong_width():
 
 
 def test_stable_a_log_init_hits_target_decay_at_zero_input():
-    # softplus(0) = ln 2, so the decay at a zero pre-activation is the target
-    target = 0.9
-    a_log = stable_a_log_init(target)
-    decay = math.exp(math.log(2.0) * -math.exp(a_log))
-    assert abs(decay - target) <= 1e-12
+    # softplus(0) = ln 2, so the decay at a zero pre-activation is 0.9
+    decay = math.exp(math.log(2.0) * -math.exp(A_LOG_INIT))
+    assert abs(decay - 0.9) <= 1e-12
 

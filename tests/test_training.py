@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from promptscan import training
 from promptscan.config import RunConfig
 from promptscan.errors import ContractError, DimensionError
 from promptscan.losses import build_feature_extractor, thermal_mask, total_loss
@@ -148,6 +149,23 @@ def test_train_loop_replay_is_byte_identical(tmp_path):
     r2 = train_loop(pairs, _tiny_run_config(), tmp_path / "two")
     assert r1.log_path.read_bytes() == r2.log_path.read_bytes()
     assert r1.ckpt_path.read_bytes() == r2.ckpt_path.read_bytes()
+
+
+def test_train_loop_saves_a_last_step_checkpoint_once(monkeypatch, tmp_path):
+    """4 steps with ckpt_every 2 save at steps 2 and 4 only, and the file
+    holds the bytes a save after the loop would write."""
+    saves = []
+    save = training.save_checkpoint
+
+    def counting_save(*args):
+        saves.append(args[0])
+        save(*args)
+
+    monkeypatch.setattr(training, "save_checkpoint", counting_save)
+    res = train_loop([pair_from_hr(_hr(0), 2, "a")], _tiny_run_config(steps=4), tmp_path / "run")
+    assert saves == [res.ckpt_path] * 2
+    save(tmp_path / "after.bin", res.params, res.cfg.model)
+    assert res.ckpt_path.read_bytes() == (tmp_path / "after.bin").read_bytes()
 
 
 def _desk_train_loss():
