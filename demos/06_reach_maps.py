@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from promptscan.fft import fft2d_raw
+from promptscan.fft import fft2d, magnitude
 from promptscan.network import build_model, desk_config
 from promptscan.pgm import write_pgm
 from promptscan.training import erf_map
@@ -57,8 +57,7 @@ write_pgm(out / "reach_conv_only.pgm", reach_off * 255.0)
 # in two symmetric off-center peaks of the magnitude plane.
 xx, yy = np.mgrid[0:64, 0:64]
 card = 128 + 100 * np.sin(2 * np.pi * (3 * xx + 5 * yy) / 64)
-spec = fft2d_raw(card)
-mag = np.log1p(np.abs(spec))
+mag = np.log1p(magnitude(fft2d(card)).data)
 mag = np.roll(mag, (32, 32), axis=(0, 1))  # DC to the center
 write_pgm(out / "card_magnitude.pgm", mag * (255.0 / mag.max()))
 peaks = np.argwhere(mag > 0.5 * mag.max())

@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     TrainingAborted,
 )
-from .fft import fft2d_raw
+from .fft import fft2d, magnitude, phase
 from .gradsuite import check_names, format_results, run_suite
 from .pgm import read_pgm, write_pgm
 from .training import erf_map, evaluate, format_eval_rows, load_dataset, train_loop
@@ -86,15 +86,15 @@ def _center(plane: np.ndarray) -> np.ndarray:
 
 def _cmd_spectrum(args) -> int:
     img, _ = read_pgm(args.image)
-    spec = fft2d_raw(img)
-    log_mag = _center(np.log1p(np.hypot(spec.real, spec.imag)))
+    spec = fft2d(img)
+    log_mag = _center(np.log1p(magnitude(spec).data))
     peak = log_mag.max()
     if peak > 0:
         log_mag = log_mag * (255.0 / peak)
-    phase = _center(np.arctan2(spec.imag, spec.real))
-    phase = (phase + np.pi) * (255.0 / (2.0 * np.pi))
+    angle = _center(phase(spec).data)
+    angle = (angle + np.pi) * (255.0 / (2.0 * np.pi))
     write_pgm(f"{args.out_prefix}_magnitude.pgm", log_mag)
-    write_pgm(f"{args.out_prefix}_phase.pgm", phase)
+    write_pgm(f"{args.out_prefix}_phase.pgm", angle)
     return 0
 
 

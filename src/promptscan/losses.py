@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-from .fft import fft2d
+from .fft import fft2d, magnitude, phase
 from .resize import resample
 from .tensor import Tensor, absolute, astensor, conv2d, sigmoid, tmean
 
@@ -121,9 +121,9 @@ def phase_loss(sr, hr) -> Tensor:
     if sr.shape != hr.shape:
         raise DimensionError(f"shape mismatch: {tuple(sr.shape)} vs {tuple(hr.shape)}")
     fs, fh = fft2d(sr), fft2d(hr)
-    d = fs.phase() - fh.phase()
+    d = phase(fs) - phase(fh)
     wrapped = _wrap_phase(d)
-    ps, ph = fs.planes.data, fh.planes.data
+    ps, ph = fs.data, fh.data
     keep = (np.hypot(ps[..., 0], ps[..., 1]) >= PHASE_EPS) & (
         np.hypot(ph[..., 0], ph[..., 1]) >= PHASE_EPS
     )
@@ -140,8 +140,8 @@ def freq_loss(sr, hr, mask: Tensor) -> Tensor:
         raise DimensionError(
             f"mask shape {tuple(mask.shape)} does not match images {tuple(sr.shape)}"
         )
-    ms = fft2d(sr * mask).magnitude()
-    mh = fft2d(hr * mask).magnitude()
+    ms = magnitude(fft2d(sr * mask))
+    mh = magnitude(fft2d(hr * mask))
     return tmean(absolute(ms - mh))
 
 

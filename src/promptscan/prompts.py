@@ -140,30 +140,26 @@ def _augment_t(x: np.ndarray) -> np.ndarray:
 
 def _exact_sums(qa, kat, v, buf, out, total):
     """Write sum_j e_ij v_j into ``out`` and sum_j e_ij into ``total``,
-    with e_ij = exp(qa_i . kat_j), for one batch element's (R, C + 1)
-    rows ``qa`` against its (C + 1, K) keys ``kat``.
+    with e_ij = exp(qa_i . kat_j), for one score block's (R, C + 1) rows
+    ``qa`` of a batch element against its (C + 1, K) keys ``kat``.
 
-    Rows go in blocks and keys in tiles of ``_ATTN_KEY_TILE``; a block
-    holds at most ``_ATTN_BLOCK_ELEMS`` scores and lives in ``buf``. The
-    tiles' partial sums add: each row's shift rides in ``qa`` and is the
-    same for every tile.
+    Keys go in tiles of ``_ATTN_KEY_TILE``, and the block's scores live
+    in ``buf``. The tiles' partial sums add: each row's shift rides in
+    ``qa`` and is the same for every tile.
     """
-    nq, nk = qa.shape[0], kat.shape[1]
-    rows, tk = _block_shape(nq, nk)
-    scores = buf[: rows * tk].reshape(rows, tk)
-    part = np.empty((rows, v.shape[-1]))
+    nk = kat.shape[1]
+    tk = min(nk, _ATTN_KEY_TILE)
+    scores = buf[: qa.shape[0] * tk].reshape(qa.shape[0], tk)
+    part = np.empty_like(out)
     ones = np.ones(tk)
-    for lo in range(0, nq, rows):
-        blk = slice(lo, lo + rows)
-        o = out[blk]
-        for tile in (slice(t, t + tk) for t in range(0, nk, tk)):
-            e = _probs(qa[blk], kat[:, tile], scores)
-            if tile.start == 0:
-                total[blk] = e @ ones[: e.shape[1]]
-                np.matmul(e, v[tile], out=o)
-            else:
-                total[blk] += e @ ones[: e.shape[1]]
-                o += np.matmul(e, v[tile], out=part[: e.shape[0]])
+    for tile in (slice(t, t + tk) for t in range(0, nk, tk)):
+        e = _probs(qa, kat[:, tile], scores)
+        if tile.start == 0:
+            total[:] = e @ ones[: e.shape[1]]
+            np.matmul(e, v[tile], out=out)
+        else:
+            total += e @ ones[: e.shape[1]]
+            out += np.matmul(e, v[tile], out=part)
 
 
 def _block_shape(nq, nk):
@@ -231,13 +227,19 @@ def _far_width(c):
     return c + 1 + c * (c + 1) // 2
 
 
-def _far_features(feats, c):
-    """Fill rows c + 1 onwards of ``feats`` with the products x_a x_b,
-    a <= b, of its first c rows (one column per vector x)."""
+def _far_features(x, c, buf):
+    """The moment rows [x, 1, x_a x_b (a <= b)] of the first c columns
+    of each row x of ``x``, built transposed in ``buf``: (F, R), one
+    column per row."""
+    width = _far_width(c)
+    feats = buf[: width * x.shape[0]].reshape(width, x.shape[0])
+    feats[:c] = x[:, :c].T
+    feats[c] = 1.0
     off = c + 1
     for i in range(c):
         np.multiply(feats[i], feats[i:c], out=feats[off : off + c - i])
         off += c - i
+    return feats
 
 
 def _far_moments(k, v, keys, buf):
@@ -258,11 +260,7 @@ def _far_moments(k, v, keys, buf):
     m = np.empty(levels.shape[1:])
     for j, lo in enumerate(chunks):
         idx = keys[lo : lo + chunk]
-        feats = buf[: width * idx.size].reshape(width, idx.size)
-        feats[:c] = k[idx].T
-        feats[c] = 1.0
-        _far_features(feats, c)
-        np.matmul(feats, _augment(v[idx], 1.0), out=m)
+        np.matmul(_far_features(k[idx], c, buf), _augment(v[idx], 1.0), out=m)
         level = 0
         while j >> level & 1:  # carry through the levels this chunk completes
             m += levels[level]
@@ -289,9 +287,8 @@ def _row_sums(q, scale, shift, rows, kat, v, moments, buf, out, total):
     column per row), fill ``buf``.
     """
     c = q.shape[-1]
-    width = _far_width(c)
     chunk = _block_shape(max(1, rows.size), max(1, kat.shape[-1]))[0]
-    part = max(1, _ATTN_BLOCK_ELEMS // width)
+    part = max(1, _ATTN_BLOCK_ELEMS // _far_width(c))
     for lo in range(0, rows.size, chunk):
         idx = rows[lo : lo + chunk]
         qa = _augment(q[idx] * scale, -shift[idx])
@@ -301,11 +298,7 @@ def _row_sums(q, scale, shift, rows, kat, v, moments, buf, out, total):
         if moments is not None:
             for f in range(0, idx.size, part):
                 x = qa[f : f + part]
-                feats = buf[: width * x.shape[0]].reshape(width, x.shape[0])
-                feats[: c + 1] = x.T
-                feats[c] = 1.0
-                _far_features(feats, c)
-                far = feats.T @ moments
+                far = _far_features(x, c, buf).T @ moments
                 w = np.exp(x[:, -1])
                 o[f : f + part] += far[:, :-1] * w[:, None]
                 t[f : f + part] += far[:, -1] * w
@@ -450,8 +443,9 @@ def global_prompt(x: Tensor, h: int, w: int, params: GlobalPromptParams) -> Tens
                 f"{name} has shape {tuple(m.shape)}, expected ({2 * c}, {c})"
             )
     ws = [m.data for m in weights]
+    norm = 1.0 / (h * w)
     half = grid_half_spectrum(x.data, h, w)
-    feats = unfold_features(half, w)
+    feats = unfold_features(half, w, norm)
     parents = (x,) + weights
     if not any(p.requires_grad for p in parents):
         half = None  # no vjp will read it
@@ -461,9 +455,9 @@ def global_prompt(x: Tensor, h: int, w: int, params: GlobalPromptParams) -> Tens
     out, lse = _attention_forward(q, k, v, scale)
 
     def vjp(g):
-        feats = unfold_features(half, w)
+        feats = unfold_features(half, w, norm)
         gq, gk, gv = _attention_grads(*(feats @ m for m in ws), out, lse, g, scale)
-        gx = spectral_features_grad(gq @ ws[0].T + gk @ ws[1].T + gv @ ws[2].T, h, w)
+        gx = spectral_features_grad(gq @ ws[0].T + gk @ ws[1].T + gv @ ws[2].T, h, w, norm)
         ft = feats.swapaxes(-1, -2)
         return (gx,) + tuple(_unbroadcast(ft @ gm, m.shape) for gm, m in zip((gq, gk, gv), ws))
 

@@ -6,7 +6,10 @@ softplus, layer norm and the decay's exponentials only inside the fused
 nodes ``linear_silu_linear``, ``layer_norm_linear`` and ``zoh_decay``.
 These wrap the same private helpers as nodes of their own, so the tests
 can check each fused node against the chain it replaces, and each
-member of a chain on its own.
+member of a chain on its own. ``fft2d_hermitian`` is the loss spectrum
+written on its own (a real-input transform, its Hermitian half filled in
+a complex view, and the vjp Re(FFT(conj G))), and ``naive_dft2`` the
+textbook DFT that the transform's identities are checked against.
 """
 
 import numpy as np
@@ -41,13 +44,49 @@ def attention(q, k, v, scale):
 
 
 def spectral_features(x, h, w):
-    """The (B, N, 2C) spectral features of a (B, h*w, C) token grid as one
-    node; the map is linear, so the node keeps no array."""
+    """The (B, N, 2C) spectral features of a (B, h*w, C) token grid, scaled
+    by 1/N, as one node; the map is linear, so the node keeps no array."""
     x = astensor(x)
+    norm = 1.0 / (h * w)
     return Tensor._from_op(
-        unfold_features(grid_half_spectrum(x.data, h, w), w),
+        unfold_features(grid_half_spectrum(x.data, h, w), w, norm),
         (x,),
-        lambda g: (spectral_features_grad(g, h, w),),
+        lambda g: (spectral_features_grad(g, h, w, norm),),
+    )
+
+
+def naive_dft2(x):
+    """Textbook double-sum DFT over the trailing two axes, written
+    independently of the library."""
+    h, w = x.shape[-2:]
+    wh = np.exp(-2j * np.pi * np.outer(np.arange(h), np.arange(h)) / h)
+    ww = np.exp(-2j * np.pi * np.outer(np.arange(w), np.arange(w)) / w)
+    return wh @ x.astype(complex) @ ww.T
+
+
+def _complex(planes):
+    """Complex view of a C-contiguous (..., 2) real/imaginary plane array."""
+    return planes.view(np.complex128)[..., 0]
+
+
+def fft2d_hermitian(x):
+    """The (..., H, W, 2) planes of a real (..., H, W) tensor's 2-d DFT as
+    one node: ``rfft2`` over the trailing axes, the other half of the
+    spectrum filled from Hermitian symmetry in a complex view of the
+    planes, and the vjp Re(FFT2(conj G)) of the cotangent's complex view."""
+    x = astensor(x)
+    w = x.shape[-1]
+    half = w // 2 + 1
+    r = np.fft.rfft2(x.data)
+    planes = np.empty(x.shape + (2,))
+    spec = _complex(planes)
+    spec[..., :half] = r
+    # F[k1, k2] = conj(F[-k1, w - k2]) for the columns rfft2 leaves out
+    tail = r[..., (w - 1) // 2 : 0 : -1]
+    np.conjugate(tail[..., :1, :], out=spec[..., :1, half:])
+    np.conjugate(tail[..., :0:-1, :], out=spec[..., 1:, half:])
+    return Tensor._from_op(
+        planes, (x,), lambda g: (np.real(np.fft.fft2(np.conj(_complex(g)))),)
     )
 
 

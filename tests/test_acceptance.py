@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from promptscan.config import RunConfig, format_config, parse_config
-from promptscan.fft import fft2d_raw
+from promptscan.fft import fft2d
 from promptscan.gradsuite import run_suite
 from promptscan.losses import (
     LossWeights,
@@ -44,6 +44,8 @@ from promptscan.training import (
     pair_from_hr,
     train_loop,
 )
+
+from oracles import naive_dft2
 
 DATA = Path(__file__).parent / "data"
 
@@ -176,23 +178,17 @@ def test_c03_causality_dichotomy():
 # -- 4: FFT against a direct DFT ----------------------------------------------
 
 
-def _naive_dft2(x: np.ndarray) -> np.ndarray:
-    h, w = x.shape
-    wh = np.exp(-2j * np.pi * np.outer(np.arange(h), np.arange(h)) / h)
-    ww = np.exp(-2j * np.pi * np.outer(np.arange(w), np.arange(w)) / w)
-    return wh @ x.astype(complex) @ ww.T
-
-
 def test_c04_fft_correctness():
     worst_rt = worst_par = worst_dft = 0.0
     for i, (h, w) in enumerate(((4, 4), (7, 5), (8, 8), (16, 16))):
         x = np.random.default_rng(i).standard_normal((h, w))
-        spec = fft2d_raw(x)
+        planes = fft2d(x).data
+        spec = planes[..., 0] + 1j * planes[..., 1]
         worst_rt = max(worst_rt, float(np.max(np.abs(np.fft.ifft2(spec).real - x))))
         energy = float(np.sum(x * x))
         par = abs(float(np.sum(np.abs(spec) ** 2)) / (h * w) - energy) / energy
         worst_par = max(worst_par, par)
-        worst_dft = max(worst_dft, float(np.max(np.abs(spec - _naive_dft2(x)))))
+        worst_dft = max(worst_dft, float(np.max(np.abs(spec - naive_dft2(x)))))
     ok = worst_rt <= 1e-10 and worst_par <= 1e-9 and worst_dft <= 1e-10
     _report(4, f"fft round-trip/Parseval/direct-DFT "
                f"({worst_rt:.1e}/{worst_par:.1e}/{worst_dft:.1e})", ok)

@@ -13,10 +13,10 @@ from promptscan.prompts import (
     gumbel_noise,
     route_tokens,
 )
-from promptscan.fft import fft2d, grid_half_spectrum, unfold_features
+from promptscan.fft import grid_half_spectrum, unfold_features
 from promptscan.tensor import Tensor, matmul, reshape
 
-from oracles import attention, softmax, spectral_features, transpose
+from oracles import attention, fft2d_hermitian, softmax, spectral_features, transpose
 
 
 def make_pool(t=4, c=3, seed=0, temperature=1.0):
@@ -156,12 +156,14 @@ def test_global_prompt_reim_features_keep_the_concat_layout(monkeypatch):
     rfft = np.fft.rfft2(x.data.reshape(bsz, h, w, c), axes=(1, 2))
     assert halves[0].tobytes() == rfft.tobytes()
 
-    spec = fft2d(transpose(reshape(x, (bsz, h, w, c)), (0, 3, 1, 2)))
+    spec = fft2d_hermitian(transpose(reshape(x, (bsz, h, w, c)), (0, 3, 1, 2)))
 
     def flat(t):
         return reshape(transpose(t, (0, 2, 3, 1)), (bsz, h * w, c))
 
-    old = np.concatenate([flat(spec.re).data, flat(spec.im).data], axis=-1) * (1.0 / (h * w))
+    old = np.concatenate([flat(spec[..., 0]).data, flat(spec[..., 1]).data], axis=-1) * (
+        1.0 / (h * w)
+    )
     assert len(seen) == 1
     for feats in seen:
         np.testing.assert_array_equal(feats, old)
@@ -330,9 +332,11 @@ def _tiled_loop(q, k, v, scale):
     out = np.empty(q.shape[:2] + v.shape[2:])
     total = np.empty(q.shape[:2])
     buf = np.empty(prompts._ATTN_BLOCK_ELEMS)
+    rows = prompts._block_shape(q.shape[1], k.shape[1])[0]
     for b in range(q.shape[0]):
         qa, kat = prompts._augment(q[b] * scale, -shift[b]), prompts._augment_t(k[b])
-        prompts._exact_sums(qa, kat, v[b], buf, out[b], total[b])
+        for blk in (slice(lo, lo + rows) for lo in range(0, q.shape[1], rows)):
+            prompts._exact_sums(qa[blk], kat, v[b], buf, out[b, blk], total[b, blk])
     return out / total[..., None], shift + np.log(total)[..., None]
 
 
@@ -626,7 +630,8 @@ def test_global_prompt_node_keeps_the_half_spectrum_output_and_log_sum_exp():
     )
     assert half.tobytes() == grid_half_spectrum(x.data, h, w).tobytes()
     assert half.shape == (bsz, h, w // 2 + 1, c)
-    assert unfold_features(half, w).tobytes() == spectral_features(x, h, w).data.tobytes()
+    feats = unfold_features(half, w, 1.0 / (h * w))
+    assert feats.tobytes() == spectral_features(x, h, w).data.tobytes()
     assert lse.shape == (bsz, h * w, 1)
 
 

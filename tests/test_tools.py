@@ -31,6 +31,8 @@ def test_replay_digest_prints_one_digest_per_artifact(tmp_path):
         "forward, LR 64², checkpoint seed 42",
         "forward, LR 24², scale 4, seed 43",
         "erf_map, LR 24², scale 4, seed 43",
+        "spectrum magnitude map, 48×41, seed 44",
+        "spectrum phase map, 48×41, seed 44",
     ]
     digests = [line.split("  ", 1)[0] for line in lines]
     assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)

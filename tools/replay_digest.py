@@ -16,7 +16,10 @@ files go to a temporary directory that is removed on exit. It prints one
 - an untracked eval-mode forward of one structured LR 24² image on a
   freshly built ``desk_config(scale=4, seed=43)`` model, which reaches
   the second up-sampling stage, and that model's ``erf_map`` on the same
-  image, which runs the input gradient through every conv and shuffle.
+  image, which runs the input gradient through every conv and shuffle;
+- the magnitude and phase maps ``promptscan spectrum`` writes for one
+  structured 48×41 image, which run the losses' transform on an odd
+  width.
 
 Two checkouts whose outputs, gradients and optimizer steps agree bit for
 bit print the same lines. BLAS runs on one thread, as in the benchmark.
@@ -39,7 +42,8 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from inputs import write_checkpoint, write_images  # noqa: E402
+import numpy as np  # noqa: E402
+from inputs import structured_image, write_checkpoint, write_images, write_pgm  # noqa: E402
 from promptscan import cli, training  # noqa: E402
 from promptscan.checkpoint import load_checkpoint  # noqa: E402
 from promptscan.config import RunConfig  # noqa: E402
@@ -57,6 +61,8 @@ TRAIN_SEED = 1
 TRAIN_STEPS = 10
 FORWARD_SEEDS = (41, 42)
 SCALE4_SEED = 43
+SPECTRUM_SEED = 44
+SPECTRUM_SHAPE = (48, 41)
 
 
 def _sha(data: bytes) -> str:
@@ -102,6 +108,16 @@ def digests(work: Path) -> list:
     out.append((_sha(sr.data.tobytes()), f"forward, LR 24², scale 4, seed {SCALE4_SEED}"))
     erf = training.erf_map(params, model_cfg, img)
     out.append((_sha(erf.tobytes()), f"erf_map, LR 24², scale 4, seed {SCALE4_SEED}"))
+
+    h, w = SPECTRUM_SHAPE
+    img_path, prefix = work / "spectrum.pgm", work / "spectrum"
+    write_pgm(img_path, structured_image(np.random.default_rng(SPECTRUM_SEED), h, w))
+    code = cli.main(["spectrum", "--image", str(img_path), "--out-prefix", str(prefix)])
+    if code != 0:
+        raise SystemExit(f"promptscan spectrum exited {code}")
+    for part in ("magnitude", "phase"):
+        data = Path(f"{prefix}_{part}.pgm").read_bytes()
+        out.append((_sha(data), f"spectrum {part} map, {h}×{w}, seed {SPECTRUM_SEED}"))
     return out
 
 
